@@ -5,7 +5,11 @@ GO ?= go
 # >20% regressions in ns/op, B/op, or allocs/op (runs carry -benchmem).
 # Benchmarks matching ZERO_ALLOC must additionally report a median of
 # exactly 0 allocs/op. CI and local runs share these definitions.
-BENCH_PATTERN ?= BenchmarkTable_SearchSpace|BenchmarkGraphBuild|BenchmarkTopKCached|BenchmarkBuildGraphParallel|BenchmarkAppend|BenchmarkSnapshotTopK|BenchmarkWALAppend|BenchmarkRecovery|BenchmarkColumnarStats|BenchmarkFeatureExtract|BenchmarkNLQParse|BenchmarkAskWarm|BenchmarkAskCold
+# BenchmarkSearchCachedWarm and BenchmarkVegaLiteCached guard the warm
+# read path: a Search that re-ranks instead of reading the rank| entry,
+# stops caching its answer, or a Vega-Lite spec rendered per request
+# multiplies their ns/op.
+BENCH_PATTERN ?= BenchmarkTable_SearchSpace|BenchmarkGraphBuild|BenchmarkTopKCached|BenchmarkSearchCachedWarm|BenchmarkVegaLiteCached|BenchmarkBuildGraphParallel|BenchmarkAppend|BenchmarkSnapshotTopK|BenchmarkWALAppend|BenchmarkRecovery|BenchmarkColumnarStats|BenchmarkFeatureExtract|BenchmarkNLQParse|BenchmarkAskWarm|BenchmarkAskCold
 BENCH_PKGS ?= . ./internal/nlq/
 ZERO_ALLOC ?= BenchmarkColumnarStats|BenchmarkFeatureExtract
 BENCH_COUNT ?= 6

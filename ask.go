@@ -231,7 +231,7 @@ func (s *System) askCompute(ctx context.Context, t *Table, r *nlq.Result, k int)
 func askAnswerSize(a *AskAnswer) int64 {
 	sz := int64(len(a.Query)+len(a.Normalized)) + 128
 	for _, r := range a.Results {
-		sz += visualizationsSize([]*Visualization{r.Visualization}) + 64
+		sz += vizSize(r.Visualization) + 64
 		for _, c := range r.Completions {
 			sz += int64(len(c))
 		}

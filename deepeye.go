@@ -146,13 +146,14 @@ type Options struct {
 	// trades wall time only, never output.
 	Workers int
 	// CacheSize, when positive, enables the result/statistics cache: a
-	// sharded LRU with this total byte budget memoizing TopK/Query
-	// results, ranked candidate sets, and per-column statistics by table
-	// content fingerprint, with request coalescing for concurrent
-	// identical calls. Repeated-table workloads (the common serving
-	// shape) skip the whole selection pipeline on a hit. Cached results
-	// are shared across callers — treat returned visualizations as
-	// read-only when caching is enabled. 0 disables caching.
+	// sharded LRU with this total byte budget memoizing TopK, Search,
+	// Query and Ask answers, ranked candidate sets, and per-column
+	// statistics by table content fingerprint, with request coalescing
+	// for concurrent identical calls. Repeated-table workloads (the
+	// common serving shape) skip the whole selection pipeline on a hit.
+	// Cached results are shared across callers — treat returned
+	// visualizations and their Vega-Lite bytes as read-only when caching
+	// is enabled. 0 disables caching.
 	CacheSize int64
 	// CacheRegistry receives the cache's deepeye_cache_* metrics; nil
 	// uses obs.Default, the registry behind the server's /metrics.
@@ -504,8 +505,7 @@ func (s *System) topKCompute(ctx context.Context, t *Table, k int) ([]*Visualiza
 	seen := make(map[string]bool, k)
 	for _, idx := range ranking.Order {
 		n := nodes[idx]
-		key := fmt.Sprintf("%s|%s|%s|%d|%d|%d", n.Chart, n.XName, n.YName,
-			n.Query.Spec.Kind, n.Query.Spec.Unit, n.Query.Spec.N)
+		key := diversityKey(n)
 		if seen[key] {
 			continue
 		}
@@ -520,6 +520,13 @@ func (s *System) topKCompute(ctx context.Context, t *Table, k int) ([]*Visualiza
 		}
 	}
 	return out, nil
+}
+
+// diversityKey names a node's (chart, columns, bucketing) combination.
+// TopK and Search each keep only the best-ranked node per key.
+func diversityKey(n *vizql.Node) string {
+	return fmt.Sprintf("%s|%s|%s|%d|%d|%d", n.Chart, n.XName, n.YName,
+		n.Query.Spec.Kind, n.Query.Spec.Unit, n.Query.Spec.N)
 }
 
 // rankedSet is the cached product of candidate generation + ranking:
@@ -587,11 +594,19 @@ func nodeSize(n *vizql.Node) int64 {
 	return sz
 }
 
-// visualizationsSize estimates the bytes a cached top-k result holds.
+// vizSize estimates the bytes a cached visualization holds: its text,
+// its node, and an upper bound on the Vega-Lite spec it memoizes once
+// served. Every cache entry that holds visualizations sums it.
+func vizSize(v *Visualization) int64 {
+	return int64(len(v.Query)+len(v.Chart)) + 64 + nodeSize(v.node) + chart.VegaLiteSizeBound(v.node.Data())
+}
+
+// visualizationsSize estimates the bytes a cached top-k or search
+// answer holds.
 func visualizationsSize(vs []*Visualization) int64 {
 	var sz int64
 	for _, v := range vs {
-		sz += int64(len(v.Query)+len(v.Chart)) + 64 + nodeSize(v.node)
+		sz += vizSize(v)
 	}
 	return sz
 }
@@ -694,7 +709,7 @@ func (s *System) QueryCtx(ctx context.Context, t *Table, src string) (*Visualiza
 		if err != nil {
 			return nil, 0, err
 		}
-		return viz, int64(len(src)) + 64 + nodeSize(viz.node), nil
+		return viz, vizSize(viz), nil
 	})
 	if err != nil {
 		return nil, err

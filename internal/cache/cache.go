@@ -8,9 +8,10 @@
 // hot path of the "millions of users" serving story (dashboards
 // re-requesting the same dataset) is memoizable end to end. The cache
 // stores three kinds of entries, all keyed through the table
-// fingerprint (dataset.Table.Fingerprint): final TopK/Query results,
-// ranked candidate sets (so a different k reuses the dominance graph),
-// and per-column derived statistics (see prime.go).
+// fingerprint (dataset.Table.Fingerprint): final TopK/Search/Ask/Query
+// answers, ranked candidate sets (so a different k, or a keyword
+// search, reuses the dominance graph), and per-column derived
+// statistics (see prime.go).
 //
 // The byte budget is hard-partitioned across 16 shards, so a single
 // entry can be at most MaxBytes/16; anything larger is simply not
@@ -248,8 +249,9 @@ func (c *Cache) RemoveFunc(match func(key string) bool) int {
 }
 
 // RemoveFingerprint drops every entry keyed under the given table
-// content fingerprint — the topk|, rank|, query|, and col| families
-// all embed the fingerprint as the key's second |-separated field.
+// content fingerprint — the topk|, search|, ask|, rank|, query|, and
+// col| families all embed the fingerprint as the key's second
+// |-separated field.
 // Called when a live dataset appends rows (the old fingerprint will
 // never be requested again by that dataset) or is deleted/evicted.
 // Content-addressed entries are never wrong, so this is purely a

@@ -203,3 +203,31 @@ func TestRenderQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestVegaLiteSizeBoundHoldsOnHardInputs: the bound covers the longest
+// number encodings and every escaped byte class — quotes, backslashes,
+// HTML-escaped characters, control bytes, invalid UTF-8, U+2028 — for
+// every chart type and both x-axis kinds.
+func TestVegaLiteSizeBoundHoldsOnHardInputs(t *testing.T) {
+	nasty := []string{`"q"`, `back\slash`, "<b>&amp;</b>", "tab\tnew\nline\x01", "bad\xff\xfeutf8", "sep\u2028\u2029", "naïve 日本", ""}
+	nums := []float64{-0.000001234567890123456, -1.2345678901234567e-300, -1.2345678901234567e20, 1e21, -9.87654321e-7, 0, 3}
+	for _, typ := range AllTypes {
+		for _, quant := range []bool{false, true} {
+			d := &Data{Type: typ, Title: nasty[2] + nasty[4], XName: nasty[0], YName: nasty[5]}
+			for i := 0; i < 40; i++ {
+				d.XLabels = append(d.XLabels, nasty[i%len(nasty)])
+				d.Y = append(d.Y, math.Abs(nums[i%len(nums)]))
+				if quant {
+					d.XNums = append(d.XNums, nums[(i+3)%len(nums)])
+				}
+			}
+			spec, err := VegaLite(d)
+			if err != nil {
+				t.Fatalf("%v: %v", typ, err)
+			}
+			if bound := VegaLiteSizeBound(d); bound < int64(len(spec)) {
+				t.Errorf("%v quant=%v: bound %d < rendered %d bytes", typ, quant, bound, len(spec))
+			}
+		}
+	}
+}

@@ -4,22 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"github.com/deepeye/deepeye/internal/obs"
 )
-
-// loadBuckets are the latency histogram bounds the reporter uses —
-// much finer than obs.DefBuckets at the low end, because warm
-// registry reads answer in microseconds.
-var loadBuckets = []float64{
-	0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
-	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30,
-}
 
 // outcome classifies one completed operation.
 type outcome int
@@ -38,17 +30,17 @@ type opStats struct {
 	shed     atomic.Uint64
 	errors   atomic.Uint64
 	skipped  atomic.Uint64
-	warmup   atomic.Uint64 // OK observations excluded from the histogram
-	maxNs    atomic.Int64
-	hist     *obs.Histogram
+	warmup   atomic.Uint64 // OK observations excluded from the samples
+
+	mu      sync.Mutex
+	samples []time.Duration // measured OK latencies, for exact percentiles
 }
 
 // Reporter collects client-side measurements for one run: per-op
-// latency histograms (warmup excluded), outcome counts, per-route
+// latency samples (warmup excluded), outcome counts, per-route
 // request counts for /metrics reconciliation, and a capped log of
 // hard-error details. Safe for concurrent use by all workers.
 type Reporter struct {
-	reg       *obs.Registry
 	ops       map[OpKind]*opStats
 	statsOn   atomic.Bool // false during warmup
 	startedAt time.Time
@@ -65,14 +57,12 @@ const errLogCap = 64
 
 // NewReporter builds a reporter covering the given op kinds.
 func NewReporter(kinds []OpKind) *Reporter {
-	r := &Reporter{reg: obs.NewRegistry(), ops: map[OpKind]*opStats{}, routes: map[string]*atomic.Uint64{}}
+	r := &Reporter{ops: map[OpKind]*opStats{}, routes: map[string]*atomic.Uint64{}}
 	for _, k := range kinds {
 		if _, dup := r.ops[k]; dup {
 			continue
 		}
-		r.ops[k] = &opStats{
-			hist: r.reg.Histogram("load_op_duration_seconds", "Per-op latency.", loadBuckets, "op", string(k)),
-		}
+		r.ops[k] = &opStats{}
 	}
 	return r
 }
@@ -115,13 +105,9 @@ func (r *Reporter) Record(kind OpKind, d time.Duration, out outcome) {
 			st.warmup.Add(1)
 			return
 		}
-		st.hist.Observe(d)
-		for {
-			prev := st.maxNs.Load()
-			if int64(d) <= prev || st.maxNs.CompareAndSwap(prev, int64(d)) {
-				break
-			}
-		}
+		st.mu.Lock()
+		st.samples = append(st.samples, d)
+		st.mu.Unlock()
 	case outShed:
 		st.shed.Add(1)
 	case outError:
@@ -262,6 +248,10 @@ func (r *Reporter) summarize(sc *Scenario) *Summary {
 	for _, k := range kinds {
 		st := r.ops[OpKind(k)]
 		measured := st.ok.Load() - st.warmup.Load()
+		st.mu.Lock()
+		sorted := slices.Clone(st.samples)
+		st.mu.Unlock()
+		slices.Sort(sorted)
 		s.Ops = append(s.Ops, OpSummary{
 			Op:         k,
 			Attempts:   st.attempts.Load(),
@@ -271,10 +261,10 @@ func (r *Reporter) summarize(sc *Scenario) *Summary {
 			Skipped:    st.skipped.Load(),
 			WarmupOK:   st.warmup.Load(),
 			Throughput: float64(measured) / window,
-			P50Ms:      ms(st.hist.Quantile(0.50)),
-			P95Ms:      ms(st.hist.Quantile(0.95)),
-			P99Ms:      ms(st.hist.Quantile(0.99)),
-			MaxMs:      float64(st.maxNs.Load()) / 1e6,
+			P50Ms:      ms(quantile(sorted, 0.50)),
+			P95Ms:      ms(quantile(sorted, 0.95)),
+			P99Ms:      ms(quantile(sorted, 0.99)),
+			MaxMs:      ms(quantile(sorted, 1)),
 		})
 		s.TotalOK += st.ok.Load()
 		s.TotalShed += st.shed.Load()
@@ -293,6 +283,20 @@ func (r *Reporter) summarize(sc *Scenario) *Summary {
 }
 
 func ms(d time.Duration) float64 { return float64(d) / 1e6 }
+
+// quantile is the nearest-rank q-quantile of ascending samples: the
+// smallest sample with at least q·n samples at or below it (0 when
+// there are none). It is always one of the samples, so no percentile
+// exceeds the maximum.
+func quantile(sorted []time.Duration, q float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	// The epsilon keeps binary rounding (0.95·100 = 95.00000000000001)
+	// from pushing an exact rank up by one.
+	r := int(math.Ceil(q*float64(len(sorted)) - 1e-9))
+	return sorted[min(max(r, 1), len(sorted))-1]
+}
 
 // WriteJSON writes the summary as indented JSON.
 func (s *Summary) WriteJSON(w io.Writer) error {

@@ -212,3 +212,50 @@ func TestSummaryCheckGates(t *testing.T) {
 		})
 	}
 }
+
+// TestReportPercentilesAreOrderStatistics: each reported percentile is
+// one of the recorded latencies, at its nearest-rank position, so none
+// exceeds the maximum (bucket interpolation reported a top-k p99 of
+// 49.25ms above a 46.28ms max).
+func TestReportPercentilesAreOrderStatistics(t *testing.T) {
+	summarize := func(ds []time.Duration) OpSummary {
+		r := NewReporter([]OpKind{OpTopK})
+		r.EnableStats()
+		for _, d := range ds {
+			r.Record(OpTopK, d, outOK)
+		}
+		return r.summarize(&Scenario{Duration: time.Second}).Ops[0]
+	}
+	uniform := make([]time.Duration, 1000)
+	for i := range uniform {
+		uniform[i] = time.Duration(i+1) * time.Millisecond
+	}
+	// Record out of order: the reporter must sort, not trust arrival.
+	for i := range uniform {
+		j := (i * 7919) % len(uniform)
+		uniform[i], uniform[j] = uniform[j], uniform[i]
+	}
+	op := summarize(uniform)
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{{"p50", op.P50Ms, 500}, {"p95", op.P95Ms, 950}, {"p99", op.P99Ms, 990}, {"max", op.MaxMs, 1000}} {
+		if c.got != c.want {
+			t.Errorf("%s = %vms, want the order statistic %vms", c.name, c.got, c.want)
+		}
+	}
+	skew := []time.Duration{46280 * time.Microsecond}
+	for i := 0; i < 9; i++ {
+		skew = append(skew, time.Millisecond)
+	}
+	op = summarize(skew)
+	if op.P50Ms != 1 || op.P95Ms != 46.28 || op.P99Ms != 46.28 || op.MaxMs != 46.28 {
+		t.Errorf("skewed samples: p50/p95/p99/max = %v/%v/%v/%v, want 1/46.28/46.28/46.28",
+			op.P50Ms, op.P95Ms, op.P99Ms, op.MaxMs)
+	}
+	for _, p := range []float64{op.P50Ms, op.P95Ms, op.P99Ms} {
+		if p > op.MaxMs {
+			t.Errorf("percentile %vms exceeds max %vms", p, op.MaxMs)
+		}
+	}
+}

@@ -167,3 +167,50 @@ func TestAppendDuringEviction(t *testing.T) {
 		t.Errorf("accounted bytes %d != live sum %d after eviction churn", got, sum)
 	}
 }
+
+// TestUseEchoesItsSnapshotEpoch: Use's Info describes the snapshot it
+// returns, even while appends race it. The serving layer echoes that
+// Info's epoch and fingerprint next to charts computed on the snapshot,
+// so a torn pair would claim an epoch the charts were not computed on.
+// The race needs a second P to show: with two, a Use that takes the
+// snapshot and the Info under separate locks tears hundreds of times.
+func TestUseEchoesItsSnapshotEpoch(t *testing.T) {
+	r := newTestRegistry(Config{})
+	if _, err := r.Register("live", mkTable(t, "live", tripsCSV)); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	const uses = 200000
+	done := make(chan struct{})
+	appendErr := make(chan error, 1)
+	go func() {
+		defer close(appendErr)
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if _, err := r.Append("live", [][]string{{"Oslo", fmt.Sprintf("%d", i), "2024-06-01"}}); err != nil {
+				appendErr <- err
+				return
+			}
+		}
+	}()
+	torn := 0
+	for i := 0; i < uses; i++ {
+		snap, info, err := r.Use("live")
+		if err != nil {
+			t.Fatalf("Use: %v", err)
+		}
+		if snap.Fingerprint() != info.Fingerprint || snap.NumRows() != info.Rows {
+			torn++
+		}
+	}
+	close(done)
+	if err := <-appendErr; err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	if torn > 0 {
+		t.Errorf("%d of %d Use calls paired a snapshot with another epoch's Info", torn, uses)
+	}
+}

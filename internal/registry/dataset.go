@@ -289,6 +289,21 @@ func (d *Dataset) registerRecordLocked() *wal.Record {
 func (d *Dataset) Snapshot() *dataset.Table {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.snapshotLocked()
+}
+
+// use returns the current snapshot and the Info describing it under one
+// acquisition of d.mu, so an append cannot land between the two; fresh
+// reports whether this call materialized the snapshot.
+func (d *Dataset) use() (t *dataset.Table, info Info, fresh bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	fresh = d.snap == nil
+	return d.snapshotLocked(), d.infoLocked(), fresh
+}
+
+// snapshotLocked is Snapshot with d.mu held.
+func (d *Dataset) snapshotLocked() *dataset.Table {
 	if d.snap != nil {
 		return d.snap
 	}
@@ -318,6 +333,11 @@ func (d *Dataset) Snapshot() *dataset.Table {
 func (d *Dataset) Info() Info {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.infoLocked()
+}
+
+// infoLocked is Info with d.mu held.
+func (d *Dataset) infoLocked() Info {
 	info := Info{
 		Name: d.name, Rows: d.nRows, Cols: len(d.cols),
 		Epoch: d.epoch, Fingerprint: d.fp,

@@ -345,14 +345,20 @@ func (r *Registry) Snapshot(name string) (*dataset.Table, bool) {
 	return r.snapshotOf(d), true
 }
 
-// Use returns the named dataset's snapshot together with its Info —
-// the one-call form the serving layer uses per request.
+// Use returns the named dataset's snapshot together with the Info of
+// that same epoch — the one-call form the serving layer uses per
+// request, so a response never echoes an epoch or fingerprint its
+// charts were not computed on.
 func (r *Registry) Use(name string) (*dataset.Table, Info, error) {
 	d, ok := r.Get(name)
 	if !ok {
 		return nil, Info{}, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	return r.snapshotOf(d), d.Info(), nil
+	t, info, fresh := d.use()
+	if fresh {
+		r.snapshotsMat.Inc()
+	}
+	return t, info, nil
 }
 
 // snapshotOf materializes d's snapshot, counting first-per-epoch
@@ -360,8 +366,8 @@ func (r *Registry) Use(name string) (*dataset.Table, Info, error) {
 func (r *Registry) snapshotOf(d *Dataset) *dataset.Table {
 	d.mu.Lock()
 	fresh := d.snap == nil
+	t := d.snapshotLocked()
 	d.mu.Unlock()
-	t := d.Snapshot()
 	if fresh {
 		r.snapshotsMat.Inc()
 	}

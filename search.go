@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"github.com/deepeye/deepeye/internal/cache"
 	"github.com/deepeye/deepeye/internal/chart"
 	"github.com/deepeye/deepeye/internal/nlq"
 	"github.com/deepeye/deepeye/internal/vizql"
@@ -27,27 +28,52 @@ func (s *System) Search(t *Table, query string, k int) ([]*Visualization, error)
 }
 
 // SearchCtx is Search with cancellation threaded through candidate
-// generation and ranking, the two costly phases of a keyword search.
+// generation and ranking. Search re-weights the ranked candidate set
+// that TopK builds, so it reads the same k-independent rank cache entry
+// and never ranks a table TopK has already ranked. With
+// Options.CacheSize set, answers are memoized by (table fingerprint, k,
+// normalized keywords, options), as Ask memoizes its answers.
 func (s *System) SearchCtx(ctx context.Context, t *Table, query string, k int) ([]*Visualization, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("deepeye: k must be positive, got %d", k)
 	}
-	intent := parseIntent(query, t)
+	if t == nil {
+		return nil, fmt.Errorf("deepeye: empty table")
+	}
+	words := searchWords(query)
+	intent := parseIntent(words, t)
 	if len(intent.columns) == 0 && len(intent.charts) == 0 && intent.unit == "" {
 		return nil, fmt.Errorf("deepeye: query %q matches no columns or chart intents: %w", query, ErrNoIntent)
 	}
-	nodes, err := s.CandidatesCtx(ctx, t)
+	if s.cache == nil {
+		return s.searchCompute(ctx, t, query, intent, k)
+	}
+	key := fmt.Sprintf("search|%s|%d|%q|%s", t.Fingerprint(), k, strings.Join(words, " "), s.optionsKey())
+	v, _, err := s.cache.Do(ctx, key, func(ctx context.Context) (any, int64, error) {
+		cache.PrimeTable(s.cache, t)
+		vs, err := s.searchCompute(ctx, t, query, intent, k)
+		if err != nil {
+			return nil, 0, err
+		}
+		return vs, visualizationsSize(vs), nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	order, scores, _, err := s.rankNodesExplainedCtx(ctx, nodes)
+	return v.([]*Visualization), nil
+}
+
+// searchCompute blends keyword affinity into the shared ranked
+// candidate set and keeps the best match per diversity key.
+func (s *System) searchCompute(ctx context.Context, t *Table, query string, in intent, k int) ([]*Visualization, error) {
+	nodes, ranking, err := s.rankedCandidatesCtx(ctx, t)
 	if err != nil {
 		return nil, err
 	}
 	// Normalize the base ranking to positions so keyword affinity and
 	// ranking quality combine on comparable scales.
 	pos := make([]int, len(nodes))
-	for p, idx := range order {
+	for p, idx := range ranking.Order {
 		pos[idx] = p
 	}
 	type scored struct {
@@ -56,7 +82,7 @@ func (s *System) SearchCtx(ctx context.Context, t *Table, query string, k int) (
 	}
 	var cands []scored
 	for i, n := range nodes {
-		a := intent.affinity(n)
+		a := in.affinity(n)
 		if a <= 0 {
 			continue
 		}
@@ -72,13 +98,12 @@ func (s *System) SearchCtx(ctx context.Context, t *Table, query string, k int) (
 	var out []*Visualization
 	for _, c := range cands {
 		n := nodes[c.idx]
-		key := fmt.Sprintf("%s|%s|%s|%d|%d", n.Chart, n.XName, n.YName, n.Query.Spec.Kind, n.Query.Spec.Unit)
+		key := diversityKey(n)
 		if seen[key] {
 			continue
 		}
 		seen[key] = true
-		v := newVisualization(n, scores[c.idx], len(out)+1)
-		out = append(out, v)
+		out = append(out, newVisualization(n, ranking.Scores[c.idx], len(out)+1))
 		if len(out) == k {
 			break
 		}
@@ -93,16 +118,28 @@ type intent struct {
 	unit    string // granularity keyword ("month", "hour", …)
 }
 
-// parseIntent reads a keyword query against the shared NL lexicon
-// (internal/nlq holds the chart-intent, granularity, and stopword
-// vocabularies, single-sourced with the sentence-level Ask parser).
-func parseIntent(query string, t *Table) intent {
-	in := intent{columns: map[string]float64{}, charts: map[chart.Type]bool{}}
+// searchWords normalizes a keyword query to the words parseIntent
+// reads, in order: lower-cased, stripped of punctuation, stopwords
+// dropped. Queries with the same words have the same intent on every
+// table, so the joined words key the search answer cache.
+func searchWords(query string) []string {
+	var words []string
 	for _, word := range strings.Fields(strings.ToLower(query)) {
 		word = strings.Trim(word, ".,;:!?\"'")
-		if word == "" || nlq.SearchStopword(word) {
-			continue
+		if word != "" && !nlq.SearchStopword(word) {
+			words = append(words, word)
 		}
+	}
+	return words
+}
+
+// parseIntent reads a keyword query's words against the shared NL
+// lexicon (internal/nlq holds the chart-intent, granularity, and
+// stopword vocabularies, single-sourced with the sentence-level Ask
+// parser).
+func parseIntent(words []string, t *Table) intent {
+	in := intent{columns: map[string]float64{}, charts: map[chart.Type]bool{}}
+	for _, word := range words {
 		if typ, ok := nlq.ChartWord(word); ok {
 			in.charts[typ] = true
 			continue

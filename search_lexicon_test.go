@@ -97,7 +97,7 @@ func TestParseIntentDifferential(t *testing.T) {
 		"",
 	}
 	for _, q := range queries {
-		got := parseIntent(q, tab)
+		got := parseIntent(searchWords(q), tab)
 		want := legacyParseIntent(q, tab)
 		if !reflect.DeepEqual(got.columns, want.columns) {
 			t.Errorf("parseIntent(%q) columns = %v, want %v", q, got.columns, want.columns)

@@ -1,6 +1,8 @@
 package deepeye
 
 import (
+	"sync"
+
 	"github.com/deepeye/deepeye/internal/chart"
 	"github.com/deepeye/deepeye/internal/rank"
 	"github.com/deepeye/deepeye/internal/vizql"
@@ -23,6 +25,13 @@ type Visualization struct {
 
 	explainM, explainQ, explainW float64
 	hasFactors                   bool
+
+	// vega memoizes VegaLite: a Visualization does not change once it
+	// is returned, so its spec is rendered at most once, however many
+	// requests its cached answer serves.
+	vegaOnce sync.Once
+	vega     []byte
+	vegaErr  error
 }
 
 func newVisualization(n *vizql.Node, score float64, rank int) *Visualization {
@@ -59,9 +68,12 @@ func (v *Visualization) RenderASCIISize(width, height int) string {
 	return chart.RenderASCII(v.node.Data(), chart.RenderOptions{Width: width, Height: height})
 }
 
-// VegaLite exports the chart as a Vega-Lite v5 JSON specification.
+// VegaLite exports the chart as a Vega-Lite v5 JSON specification. The
+// spec is rendered on the first call and every call returns the same
+// bytes, so they are read-only, like every cached result.
 func (v *Visualization) VegaLite() ([]byte, error) {
-	return chart.VegaLite(v.node.Data())
+	v.vegaOnce.Do(func() { v.vega, v.vegaErr = chart.VegaLite(v.node.Data()) })
+	return v.vega, v.vegaErr
 }
 
 // Node exposes the underlying visualization node for advanced callers

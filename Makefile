@@ -8,8 +8,10 @@ GO ?= go
 # BenchmarkSearchCachedWarm and BenchmarkVegaLiteCached guard the warm
 # read path: a Search that re-ranks instead of reading the rank| entry,
 # stops caching its answer, or a Vega-Lite spec rendered per request
-# multiplies their ns/op.
-BENCH_PATTERN ?= BenchmarkTable_SearchSpace|BenchmarkGraphBuild|BenchmarkTopKCached|BenchmarkSearchCachedWarm|BenchmarkVegaLiteCached|BenchmarkBuildGraphParallel|BenchmarkAppend|BenchmarkSnapshotTopK|BenchmarkWALAppend|BenchmarkRecovery|BenchmarkColumnarStats|BenchmarkFeatureExtract|BenchmarkNLQParse|BenchmarkAskWarm|BenchmarkAskCold
+# multiplies their ns/op. BenchmarkDedupe and BenchmarkRankOrder guard
+# two layers of the cold miss: Dedupe formatting values as text again,
+# or the Hasse reduction sorting and allocating per node.
+BENCH_PATTERN ?= BenchmarkTable_SearchSpace|BenchmarkGraphBuild|BenchmarkTopKCached|BenchmarkSearchCachedWarm|BenchmarkVegaLiteCached|BenchmarkDedupe|BenchmarkRankOrder|BenchmarkBuildGraphParallel|BenchmarkAppend|BenchmarkSnapshotTopK|BenchmarkWALAppend|BenchmarkRecovery|BenchmarkColumnarStats|BenchmarkFeatureExtract|BenchmarkNLQParse|BenchmarkAskWarm|BenchmarkAskCold
 BENCH_PKGS ?= . ./internal/nlq/
 ZERO_ALLOC ?= BenchmarkColumnarStats|BenchmarkFeatureExtract
 BENCH_COUNT ?= 6

@@ -538,10 +538,17 @@ type rankedSet struct {
 	ranking rank.Ranking
 }
 
+// sizeBytes charges each node its fixed overhead and each distinct
+// Result once: chart-type siblings, and under a count every Y column,
+// share one.
 func (rs rankedSet) sizeBytes() int64 {
-	sz := rs.ranking.SizeBytes()
+	sz := rs.ranking.SizeBytes() + int64(len(rs.nodes))*nodeOverhead
+	seen := make(map[*transform.Result]bool, len(rs.nodes))
 	for _, n := range rs.nodes {
-		sz += nodeSize(n)
+		if !seen[n.Res] {
+			seen[n.Res] = true
+			sz += resultSize(n.Res)
+		}
 	}
 	return sz
 }
@@ -584,12 +591,20 @@ func (s *System) rankedCandidatesCtx(ctx context.Context, t *Table) ([]*vizql.No
 // nodeSize estimates the bytes a materialized candidate holds (for
 // cache accounting): the transformed series plus fixed overhead.
 func nodeSize(n *vizql.Node) int64 {
-	sz := int64(256)
-	if n.Res != nil {
-		sz += int64(n.Res.Len()) * 48 // XOrder + Y + label headers
-		for _, l := range n.Res.XLabels {
-			sz += int64(len(l))
-		}
+	return nodeOverhead + resultSize(n.Res)
+}
+
+// nodeOverhead is a node's fixed size estimate, its series excluded.
+const nodeOverhead = 256
+
+// resultSize estimates the bytes a transformed series holds.
+func resultSize(r *transform.Result) int64 {
+	if r == nil {
+		return 0
+	}
+	sz := int64(r.Len()) * 48 // XOrder + Y + label headers
+	for _, l := range r.XLabels {
+		sz += int64(len(l))
 	}
 	return sz
 }

@@ -2,6 +2,7 @@ package rank
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"github.com/deepeye/deepeye/internal/rangetree"
@@ -117,7 +118,13 @@ func (g *Graph) tick() bool {
 	return g.cancelled
 }
 
+// sortEdges orders one adjacency row by target, carrying the weights
+// along. A row already in order — every row the naive builder and
+// Reduce over a sorted graph emit — returns without allocating.
 func sortEdges(out []int32, w []float64) {
+	if slices.IsSorted(out) {
+		return
+	}
 	order := make([]int, len(out))
 	for i := range order {
 		order[i] = i

@@ -13,6 +13,14 @@ import (
 // visualizations (a.k.a. a Hasse diagram)"). Scoring the full transitive
 // closure instead would double-count every dominance path and blow up
 // exponentially on long chains.
+//
+// An edge v→u is kept iff no other successor of v reaches u, so
+// covers(v) = succ(v) − ⋃_{w ∈ succ(v)} reach(w), where reach(w) is the
+// set of nodes reachable from w (w excluded). Nodes are visited sinks
+// first, so every successor's reach set is final when its predecessors
+// need it; reach(v) is that union plus succ(v). The reach sets are rows
+// of one flat bitset, and a successor already inside the union adds
+// nothing to it, so its row is not read.
 func (g *Graph) Reduce() *Graph {
 	n := len(g.Nodes)
 	out := &Graph{
@@ -26,38 +34,27 @@ func (g *Graph) Reduce() *Graph {
 		return out
 	}
 	topo := g.topoOrder()
-	rank := make([]int, n)
-	for r, v := range topo {
-		rank[v] = r
-	}
 	words := (n + 63) / 64
-	reach := make([][]uint64, n) // reach[v] = nodes reachable from v (excl. v)
-
-	// Process sinks first (reverse topological order) so successors'
-	// reach sets exist when a node needs them.
-	acc := make([]uint64, words)
+	reach := make([]uint64, n*words)
 	for i := n - 1; i >= 0; i-- {
 		v := topo[i]
-		succs := append([]int32(nil), g.Out[v]...)
-		sort.Slice(succs, func(a, b int) bool { return rank[succs[a]] < rank[succs[b]] })
-		for w := range acc {
-			acc[w] = 0
-		}
-		r := make([]uint64, words)
-		for _, u := range succs {
-			if bitGet(acc, int(u)) {
-				continue // reachable through an earlier cover: redundant
+		rv := reach[v*words : (v+1)*words]
+		for _, u := range g.Out[v] {
+			if !bitGet(rv, int(u)) {
+				orInto(rv, reach[int(u)*words:(int(u)+1)*words])
 			}
+		}
+		// rv is the union; a successor outside it is a cover. Setting
+		// each successor's bit as it is seen also skips a repeated edge.
+		for _, u := range g.Out[v] {
+			if bitGet(rv, int(u)) {
+				continue
+			}
+			bitSet(rv, int(u))
 			out.Out[v] = append(out.Out[v], u)
 			out.OutW[v] = append(out.OutW[v], EdgeWeight(g.Factors[v], g.Factors[int(u)]))
-			bitSet(acc, int(u))
-			orInto(acc, reach[u])
 		}
-		copy(r, acc)
-		reach[v] = r
-	}
-	for i := range out.Out {
-		sortEdges(out.Out[i], out.OutW[i])
+		sortEdges(out.Out[v], out.OutW[v])
 	}
 	return out
 }

@@ -347,11 +347,14 @@ func Trend(xs, ys []float64) (TrendKind, float64) {
 // series in one pass. Both functions materialize the log-transformed
 // families independently — the power (log x, log y) and log (log x, y)
 // series are built twice when they are called back to back, and math.Log
-// dominates the enumeration profile — so this fused form builds each
-// family once and feeds it to both consumers.
+// dominates the enumeration profile — so this fused form takes each
+// point's logs once, builds the exponential (x, log y), power and log
+// families from them in one sweep, and feeds each family to both
+// consumers.
 //
 // Results are bit-identical to calling the two functions separately:
-// the transformed series are produced by the same logPairs, each
+// each family holds the values logPairs would produce (the same
+// positivity tests, the same math.Log calls, in row order), and each
 // accumulator (the correlation maximum and the trend best-R²) sees its
 // comparisons on the same values in its original order, so even exact
 // R² ties between families resolve to the same winner.
@@ -369,25 +372,43 @@ func CorrelationTrend(xs, ys []float64) (corr float64, ck CorrelationKind, tk Tr
 			r2, tk = lr, TrendLinear
 		}
 	}
-	bufA := logScratch.Get().(*logBufs)
-	bufB := logScratch.Get().(*logBufs)
+	bufE := logScratch.Get().(*logBufs)
+	bufP := logScratch.Get().(*logBufs)
+	bufL := logScratch.Get().(*logBufs)
+	ex, ey := bufE.x[:0], bufE.y[:0]
+	px, py := bufP.x[:0], bufP.y[:0]
+	lx, ly := bufL.x[:0], bufL.y[:0]
+	for i := range xs {
+		x, y := xs[i], ys[i]
+		// logPairs skips a point whose logged coordinate is ≤ 0; NaN
+		// passes that test and is logged, here as there.
+		okX, okY := !(x <= 0), !(y <= 0)
+		var logX, logY float64
+		if okX {
+			logX = math.Log(x)
+			lx, ly = append(lx, logX), append(ly, y)
+		}
+		if okY {
+			logY = math.Log(y)
+			ex, ey = append(ex, x), append(ey, logY)
+		}
+		if okX && okY {
+			px, py = append(px, logX), append(py, logY)
+		}
+	}
 	// exponential (trend only): y = a·e^(bx)  →  log y = log a + bx
-	ex, ey := logPairs(bufA.x[:0], bufA.y[:0], xs, ys, false, true)
 	if trendOK && len(ey) >= 3 && len(ey) >= len(ys)*3/4 {
 		if _, _, er := LinearFit(ex, ey); er > r2 {
 			r2, tk = er, TrendExponential
 		}
 	}
-	// power: y = a·x^b  →  log y = log a + b·log x. Held in the second
-	// buffer pair so it stays live across the log family below: the
-	// correlation maximum compares power before log, the trend best-R²
-	// compares log before power.
-	px, py := logPairs(bufB.x[:0], bufB.y[:0], xs, ys, true, true)
+	// power: y = a·x^b  →  log y = log a + b·log x. The correlation
+	// maximum compares power before log, the trend best-R² compares log
+	// before power.
 	if r := math.Abs(Pearson(px, py)); r > corr {
 		corr, ck = r, CorrPower
 	}
 	// log: y = a + b·log x
-	lx, ly := logPairs(ex[:0], ey[:0], xs, ys, true, false)
 	if r := math.Abs(Pearson(lx, ly)); r > corr {
 		corr, ck = r, CorrLog
 	}
@@ -401,10 +422,12 @@ func CorrelationTrend(xs, ys []float64) (corr float64, ck CorrelationKind, tk Tr
 			r2, tk = pr, TrendPower
 		}
 	}
-	bufA.x, bufA.y = lx, ly
-	bufB.x, bufB.y = px, py
-	logScratch.Put(bufA)
-	logScratch.Put(bufB)
+	bufE.x, bufE.y = ex, ey
+	bufP.x, bufP.y = px, py
+	bufL.x, bufL.y = lx, ly
+	logScratch.Put(bufE)
+	logScratch.Put(bufP)
+	logScratch.Put(bufL)
 	return corr, ck, tk, r2
 }
 

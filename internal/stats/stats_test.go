@@ -282,3 +282,44 @@ func TestQuantileMonotoneQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCorrelationTrendMatchesSeparate pins the fused CorrelationTrend,
+// which takes each point's logs once, to Correlation and Trend called
+// separately, bit for bit, on series with negative, zero, NaN and
+// positive values, short and long.
+func TestCorrelationTrendMatchesSeparate(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	pick := func() float64 {
+		switch rng.Intn(10) {
+		case 0:
+			return 0
+		case 1:
+			return -rng.Float64() * 50
+		case 2:
+			return math.NaN()
+		case 3:
+			return float64(rng.Intn(5) + 1)
+		default:
+			return rng.ExpFloat64() * 20
+		}
+	}
+	for trial := 0; trial < 3000; trial++ {
+		n := rng.Intn(40)
+		xs, ys := make([]float64, n), make([]float64, n)
+		for i := range xs {
+			xs[i], ys[i] = pick(), pick()
+			if trial%3 == 0 { // a clean trend family now and then
+				xs[i] = float64(i + 1)
+				ys[i] = 3 * math.Pow(xs[i], 1.5) * (1 + 0.01*rng.NormFloat64())
+			}
+		}
+		corr, ck, tk, r2 := CorrelationTrend(xs, ys)
+		wantCorr, wantCK := Correlation(xs, ys)
+		wantTK, wantR2 := Trend(xs, ys)
+		if math.Float64bits(corr) != math.Float64bits(wantCorr) || ck != wantCK ||
+			tk != wantTK || math.Float64bits(r2) != math.Float64bits(wantR2) {
+			t.Fatalf("trial %d (%v, %v): fused (%v %v %v %v), separate (%v %v %v %v)",
+				trial, xs, ys, corr, ck, tk, r2, wantCorr, wantCK, wantTK, wantR2)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package vizql
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"hash/maphash"
 	"math"
@@ -137,14 +138,13 @@ func ExecuteAll(t *dataset.Table, queries []Query) []*Node {
 // over it. The materialization cache keys on (X, Y, spec, sort class)
 // and holds the aggregated series plus its derived statistics and
 // feature inputs, so the chart-type variants of one transform pay only
-// a feature.Extract each. ORDER BY X folds into the unsorted class:
-// transforms emit buckets already in X order, and re-sorting stably
-// under the same comparator is an identity.
+// a feature.Extract each. A bucketed count never reads Y, so its entry
+// drops Y from the key: every Y column shares one count series, its
+// order, its correlation and trend, and its Y′ summary, and each node
+// keeps only its own Y name and type. ORDER BY X folds into the
+// unsorted class: transforms emit buckets already in X order, and
+// re-sorting stably under the same comparator is an identity.
 func ExecuteAllCtx(ctx context.Context, t *dataset.Table, queries []Query) ([]*Node, error) {
-	type cacheKey struct {
-		x, y, spec string
-		sort       transform.SortAxis
-	}
 	caches := &execCaches{
 		bk:          make(map[bucketingKey]*transform.Bucketing),
 		raw:         make(map[[2]string]*transform.Result),
@@ -153,7 +153,7 @@ func ExecuteAllCtx(ctx context.Context, t *dataset.Table, queries []Query) ([]*N
 		base:        make(map[baseKey]*transform.Result),
 		yi:          make(map[*transform.Result]feature.ColumnInfo),
 	}
-	cache := make(map[cacheKey]*sharedExec)
+	cache := make(map[execKey]*sharedExec)
 	var out []*Node
 	for _, q := range queries {
 		// A cache miss costs a full pass over the data, so check before
@@ -177,14 +177,23 @@ func ExecuteAllCtx(ctx context.Context, t *dataset.Table, queries []Query) ([]*N
 			out = append(out, n)
 			continue
 		}
+		// The Y column is looked up per query, not per cache entry: a
+		// shared count still drops a query that names an unknown Y.
+		y := t.Column(q.Y)
+		if y == nil {
+			continue
+		}
 		sc := q.Order
 		if sc == transform.SortX && q.Spec.Kind != transform.KindNone {
 			sc = transform.SortNone
 		}
-		key := cacheKey{q.X, q.Y, q.Spec.String(), sc}
+		key := execKey{base: baseKey{x: q.X, y: q.Y, spec: keyOf(q.Spec)}, sort: sc}
+		if countsOnly(q.Spec) {
+			key.base.y = "" // the same series for every Y column
+		}
 		cv := cache[key]
 		if cv == nil {
-			cv = executeShared(t, q, sc, caches)
+			cv = executeShared(t, q, key.base, sc, caches)
 			cache[key] = cv
 		}
 		if !cv.ok {
@@ -193,9 +202,9 @@ func ExecuteAllCtx(ctx context.Context, t *dataset.Table, queries []Query) ([]*N
 		n := &Node{
 			Query: q, Chart: q.Viz,
 			XName: q.X, YName: q.Y,
-			XType: cv.xType, YType: cv.yType,
+			XType: cv.xType, YType: y.Type,
 			InputRows: cv.res.InputRows,
-			Res:       cv.res, // shared read-only with sibling chart types
+			Res:       cv.res, // shared read-only with sibling chart types and, under a count, Y columns
 			XOutType:  cv.xOutType,
 			Corr:      cv.corr,
 			TrendR2:   cv.trendR2,
@@ -208,34 +217,68 @@ func ExecuteAllCtx(ctx context.Context, t *dataset.Table, queries []Query) ([]*N
 	return out, nil
 }
 
-// bucketingKey identifies the Y-agnostic half of a transform over one
-// X column: everything that determines bucket membership.
-type bucketingKey struct {
-	x    string
+// specKey is the comparable form of a transform.Spec. It holds the
+// fields Spec.String prints for each kind, so two specs of a known kind
+// share a key exactly when they print alike, without formatting either.
+type specKey struct {
 	kind transform.Kind
 	unit transform.BinUnit
 	n    int
 	udf  string
+	agg  transform.Agg
+}
+
+func keyOf(s transform.Spec) specKey {
+	k := specKey{kind: s.Kind, agg: s.Agg}
+	switch s.Kind {
+	case transform.KindBinUnit:
+		k.unit = s.Unit
+	case transform.KindBinCount:
+		k.n = s.N
+	case transform.KindBinUDF:
+		k.udf = "udf"
+		if s.UDF != nil {
+			k.udf = s.UDF.Name
+		}
+	}
+	return k
+}
+
+// countsOnly reports whether a spec's result is the per-bucket row
+// count, which transform.ApplyBucketed computes without reading Y.
+func countsOnly(s transform.Spec) bool {
+	return s.Kind != transform.KindNone && s.Agg != transform.AggSum && s.Agg != transform.AggAvg
+}
+
+// bucketingKey identifies the Y-agnostic half of a transform over one
+// X column: everything that determines bucket membership (the spec
+// with its aggregate cleared).
+type bucketingKey struct {
+	x    string
+	spec specKey
+}
+
+// execKey identifies one materialization-cache entry: the row-order
+// result it starts from and the sort class applied to it.
+type execKey struct {
+	base baseKey
+	sort transform.SortAxis
 }
 
 // sharedExec is one materialized (X, Y, spec, sort class) combination:
 // the transformed series plus every derived quantity the chart-type
 // variants share.
 type sharedExec struct {
-	res          *transform.Result
-	xType, yType dataset.ColType
-	xOutType     dataset.ColType
-	corr         float64
-	trendR2      float64
-	trendKind    stats.TrendKind
-	xi, yi       feature.ColumnInfo
-	ok           bool
+	res       *transform.Result
+	xType     dataset.ColType
+	xOutType  dataset.ColType
+	corr      float64
+	trendR2   float64
+	trendKind stats.TrendKind
+	xi, yi    feature.ColumnInfo
+	ok        bool
 }
 
-// executeShared materializes one cache entry, reusing (or seeding) the
-// shared bucketing for the query's X transform. Inexecutable queries —
-// unknown columns, type-incompatible transforms, empty output — yield
-// an entry with ok == false, mirroring ExecuteCtx's error cases.
 // execCaches bundles the batch-scoped shared state: the Y-agnostic
 // bucketings, the per-pair raw materializations, and the raw label
 // distinct counts (order-invariant, so the three sort classes of one
@@ -250,9 +293,11 @@ type execCaches struct {
 }
 
 // baseKey identifies the row-order materialization of one (X, Y, spec)
-// — what the sort classes of a transform share before OrderBy.
+// — what the sort classes of a transform share before OrderBy. Y is
+// empty for a count (see countsOnly).
 type baseKey struct {
-	x, y, spec string
+	x, y string
+	spec specKey
 }
 
 // distinctKey identifies everything the label set of a bucketed result
@@ -266,11 +311,16 @@ type distinctKey struct {
 	y  string
 }
 
-func executeShared(t *dataset.Table, q Query, sc transform.SortAxis, caches *execCaches) *sharedExec {
+// executeShared materializes one cache entry, reusing (or seeding) the
+// shared bucketing for the query's X transform. Inexecutable queries —
+// unknown X, type-incompatible transforms, empty output — yield an
+// entry with ok == false, mirroring ExecuteCtx's error cases; the
+// caller has already dropped a query whose Y column is unknown.
+func executeShared(t *dataset.Table, q Query, bkey baseKey, sc transform.SortAxis, caches *execCaches) *sharedExec {
 	sr := &sharedExec{}
 	x := t.Column(q.X)
 	y := t.Column(q.Y)
-	if x == nil || y == nil {
+	if x == nil {
 		return sr
 	}
 	needY := q.Spec.Agg == transform.AggSum || q.Spec.Agg == transform.AggAvg
@@ -299,53 +349,36 @@ func executeShared(t *dataset.Table, q Query, sc transform.SortAxis, caches *exe
 			return sr
 		}
 		res = r
-	} else if q.Spec.Kind == transform.KindBinUDF && needY {
-		bkey := baseKey{x: q.X, y: q.Y, spec: q.Spec.String()}
+	} else {
+		k := bucketingKey{x: q.X, spec: bkey.spec}
+		k.spec.agg = transform.AggNone
+		dk = distinctKey{bk: k, y: bkey.y}
 		r, seen := caches.base[bkey]
 		if !seen {
-			if a, err := transform.Apply(x, y, q.Spec); err == nil {
-				r = a
+			if q.Spec.Kind == transform.KindBinUDF && needY {
+				if a, err := transform.Apply(x, y, q.Spec); err == nil {
+					r = a
+				}
+			} else {
+				bk, seen := caches.bk[k]
+				if !seen {
+					if b, err := transform.Bucketize(x, q.Spec); err == nil {
+						bk = b
+					}
+					caches.bk[k] = bk // nil marks an invalid (x, spec) combination
+				}
+				if bk != nil {
+					// Ranking, dedupe, and the rendered chart never touch
+					// SourceRows (consumers that need provenance guard on
+					// its presence), so the per-bucket row lists — the
+					// batch's largest allocation — are not materialized.
+					r = transform.ApplyBucketed(bk, y, q.Spec, false)
+				}
 			}
 			caches.base[bkey] = r // nil marks an inexecutable combination
 		}
 		if r == nil {
 			return sr
-		}
-		res = r
-		// The bucket set admits rows with non-null X and Y regardless of
-		// which of SUM/AVG aggregates them.
-		dk = distinctKey{bk: bucketingKey{x: q.X, kind: q.Spec.Kind}, y: q.Y}
-		if q.Spec.UDF != nil {
-			dk.bk.udf = q.Spec.UDF.Name
-		}
-	} else {
-		k := bucketingKey{x: q.X, kind: q.Spec.Kind, unit: q.Spec.Unit, n: q.Spec.N}
-		if q.Spec.Kind == transform.KindBinUDF && q.Spec.UDF != nil {
-			k.udf = q.Spec.UDF.Name
-		}
-		dk = distinctKey{bk: k}
-		if needY {
-			dk.y = q.Y
-		}
-		bk, seen := caches.bk[k]
-		if !seen {
-			if b, err := transform.Bucketize(x, q.Spec); err == nil {
-				bk = b
-			}
-			caches.bk[k] = bk // nil marks an invalid (x, spec) combination
-		}
-		if bk == nil {
-			return sr
-		}
-		bkey := baseKey{x: q.X, y: q.Y, spec: q.Spec.String()}
-		r, seen := caches.base[bkey]
-		if !seen {
-			// Ranking, dedupe, and the rendered chart never touch
-			// SourceRows (consumers that need provenance guard on its
-			// presence), so the per-bucket row lists — the batch's
-			// largest allocation — are not materialized here.
-			r = transform.ApplyBucketed(bk, y, q.Spec, false)
-			caches.base[bkey] = r
 		}
 		res = r
 	}
@@ -366,7 +399,7 @@ func executeShared(t *dataset.Table, q Query, sc transform.SortAxis, caches *exe
 		transform.OrderBy(res, sc)
 	}
 	sr.res = res
-	sr.xType, sr.yType = x.Type, y.Type
+	sr.xType = x.Type
 	sr.xOutType = outType(x.Type, q.Spec.Kind)
 	if sr.xOutType != dataset.Categorical {
 		// The NaN-filtered (X′, Y′) series feeds three scalar summaries
@@ -506,14 +539,6 @@ func pow64(base, exp int) int64 {
 	return r
 }
 
-// CountExecutable reports how many of the enumerated two-column queries
-// actually execute on the table — a sanity measure used in tests and the
-// search-space experiment (it is far below the Fig. 3 upper bound because
-// most transform/type combinations are invalid).
-func CountExecutable(t *dataset.Table) int {
-	return len(ExecuteAll(t, EnumerateQueries(t)))
-}
-
 // ValidateQuery checks a query against a table without executing it:
 // referenced columns exist and the transform is type-compatible.
 func ValidateQuery(t *dataset.Table, q Query) error {
@@ -548,32 +573,41 @@ func ValidateQuery(t *dataset.Table, q Query) error {
 // Dedupe removes nodes whose rendered data is identical (same transformed
 // series, chart type); different queries can collapse to the same chart
 // (e.g. GROUP and BIN BY DAY on a date-granular column).
+//
+// Two nodes are duplicates iff their fingerprint headers and formatted
+// bodies (appendFingerprintBody: "label=%.9g;" per bucket) are equal,
+// but the bodies are never formatted: each is keyed by appendBodyKey,
+// whose bytes are equal exactly when the formatted bodies are. The seen
+// set holds (header hash, body hash) pairs — the same byte-equality-
+// modulo-hash-collision test as hashing the concatenation. Chart-type
+// siblings, and under a count every Y column, share a *Result, so each
+// body is keyed once per distinct Result and the scratch bytes discarded
+// (the arena never holds more than one body).
 func Dedupe(nodes []*Node) []*Node {
-	// Two nodes are duplicates iff their header bytes and body bytes
-	// both agree, so the seen set keys on the (header hash, body hash)
-	// pair — the same byte-equality-modulo-hash-collision test as
-	// hashing the concatenation. The chart-type variants of one
-	// transform share a *Result, and the per-bucket round-and-format
-	// pass dominates fingerprinting — so the body is formatted and
-	// hashed once per distinct Result and the scratch bytes discarded
-	// (the arena never holds more than one body).
-	type dedupeKey struct{ header, body uint64 }
+	type body struct {
+		hash uint64
+		text bool // keyed by its formatted text (appendBodyKey)
+	}
+	type dedupeKey struct {
+		header uint64
+		body   body
+	}
 	seen := make(map[dedupeKey]bool, len(nodes))
-	bodies := make(map[*transform.Result]uint64, len(nodes))
+	bodies := make(map[*transform.Result]body, len(nodes))
 	var arena []byte
 	if ap := bodyArena.Swap(nil); ap != nil {
 		arena = (*ap)[:0]
 	}
 	var out []*Node
 	for _, n := range nodes {
-		bh, ok := bodies[n.Res]
+		b, ok := bodies[n.Res]
 		if !ok {
-			arena = appendFingerprintBody(arena[:0], n.Res)
-			bh = maphash.Bytes(dedupeSeed, arena)
-			bodies[n.Res] = bh
+			arena, b.text = appendBodyKey(arena[:0], n.Res)
+			b.hash = maphash.Bytes(dedupeSeed, arena)
+			bodies[n.Res] = b
 		}
 		var hdr [64]byte
-		key := dedupeKey{header: maphash.Bytes(dedupeSeed, appendFingerprintHeader(hdr[:0], n)), body: bh}
+		key := dedupeKey{header: maphash.Bytes(dedupeSeed, appendFingerprintHeader(hdr[:0], n)), body: b}
 		if seen[key] {
 			continue
 		}
@@ -582,6 +616,49 @@ func Dedupe(nodes []*Node) []*Node {
 	}
 	bodyArena.Store(&arena)
 	return out
+}
+
+// appendBodyKey appends Dedupe's key for a result's body: bytes that
+// two results of equal length share exactly when their formatted bodies
+// (appendFingerprintBody) are equal. While no label holds '=' or ';',
+// a formatted body splits back into its (label, text) pairs, so it is
+// keyed as each label, '=', and the 8 bytes of valueKey — the
+// fixed-width value keeps the split unique, and valueKey is equal
+// exactly when the texts are. A label holding either separator can make
+// different pairs format alike, so such a body is keyed by its formatted
+// text and reported with text set; a body of the other kind never
+// formats alike to it, since it has exactly one '=' and one ';' per
+// bucket.
+func appendBodyKey(dst []byte, r *transform.Result) (key []byte, text bool) {
+	start := len(dst)
+	for i, l := range r.XLabels {
+		for j := 0; j < len(l); j++ {
+			if l[j] == '=' || l[j] == ';' {
+				return appendFingerprintBody(dst[:start], r), true
+			}
+		}
+		dst = append(dst, l...)
+		dst = append(dst, '=')
+		dst = binary.LittleEndian.AppendUint64(dst, valueKey(r.Y[i]))
+	}
+	return dst, false
+}
+
+// valueKey returns the bits of the double nearest to the "%.9g" text of
+// roundSig(v), so two values share a key exactly when their texts are
+// equal: distinct 9-significant-digit texts of doubles parse to
+// distinct doubles, and every NaN formats and parses alike. Where
+// roundSig's result is already that nearest double its bits are the
+// key; otherwise the text is formatted and parsed back.
+func valueKey(v float64) uint64 {
+	w, nearest := roundSigNearest(v)
+	if !nearest {
+		// The text is AppendFloat's own output, which ParseFloat always
+		// accepts ("NaN" and "±Inf" included), so the error is nil.
+		var buf [32]byte
+		w, _ = strconv.ParseFloat(string(strconv.AppendFloat(buf[:0], w, 'g', 9, 64)), 64)
+	}
+	return math.Float64bits(w)
 }
 
 // bodyArena caches Dedupe's body arena between calls. A sync.Pool is
@@ -620,7 +697,7 @@ func fnvAdd(h uint64, buf []byte) uint64 {
 // split identical charts. The stream is byte-identical to the
 // historical fmt.Fprintf encoding ("%s|%s|%s|%d|" header, "%s=%.9g;"
 // per bucket); TestDataFingerprintMatchesFmt pins the equivalence.
-// Dedupe assembles the same stream from a cached body arena.
+// Dedupe keys bodies without formatting them (appendBodyKey).
 func dataFingerprint(n *Node) string {
 	body := appendFingerprintBody(make([]byte, 0, n.Res.Len()*24), n.Res)
 	return strconv.FormatUint(fnvAdd(headerHash(n), body), 16)
@@ -668,8 +745,24 @@ var pow10tab = func() (t [701]float64) {
 }()
 
 func roundSig(v float64) float64 {
-	if v == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-		return v
+	w, _ := roundSigNearest(v)
+	return w
+}
+
+// roundSigNearest rounds v to 9 significant digits and reports whether
+// the result is the double nearest to its own decimal m·10^−e, so that
+// its "%.9g" text parses back to it. |m| ≤ 1e9 (log10 is off by at most
+// a few ulps, which only ever rounds m to 1e9), so the decimal has at
+// most 9 significant digits. That holds for ±0, ±Inf and the integer
+// fast path, and whenever 0 ≤ e ≤ 22: then m and 10^e are both exact
+// doubles and the one division rounds m/10^e to nearest. NaN is never
+// nearest: its payload bits vary while its text does not.
+func roundSigNearest(v float64) (float64, bool) {
+	if math.IsNaN(v) {
+		return v, false
+	}
+	if v == 0 || math.IsInf(v, 0) {
+		return v, true
 	}
 	// An integer with at most 9 digits is its own 9-significant-digit
 	// rounding: |v·scale| ≤ 1e10 stays exactly representable for any
@@ -678,7 +771,7 @@ func roundSig(v float64) float64 {
 	// division restores v exactly. CNT aggregates make this the common
 	// case, and it skips the Log10 that dominates the dedupe profile.
 	if v == math.Trunc(v) && v > -1e9 && v < 1e9 {
-		return v
+		return v, true
 	}
 	e := 9 - math.Ceil(math.Log10(math.Abs(v)))
 	var scale float64
@@ -687,5 +780,5 @@ func roundSig(v float64) float64 {
 	} else {
 		scale = math.Pow(10, e)
 	}
-	return math.Round(v*scale) / scale
+	return math.Round(v*scale) / scale, e >= 0 && e <= 22
 }

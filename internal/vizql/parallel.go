@@ -37,14 +37,15 @@ func ExecuteAllParallelCtx(ctx context.Context, t *dataset.Table, queries []Quer
 		return ExecuteAllCtx(ctx, t, queries)
 	}
 	type groupKey struct {
-		x, y, spec string
-		sort       transform.SortAxis
+		x, y string
+		spec specKey
+		sort transform.SortAxis
 	}
 	// Group queries so one worker owns one shared transform.
 	order := make([]groupKey, 0)
 	groups := make(map[groupKey][]Query)
 	for _, q := range queries {
-		key := groupKey{q.X, q.Y, q.Spec.String(), q.Order}
+		key := groupKey{q.X, q.Y, keyOf(q.Spec), q.Order}
 		if _, ok := groups[key]; !ok {
 			order = append(order, key)
 		}

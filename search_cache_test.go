@@ -290,7 +290,7 @@ func TestVegaLiteConcurrentMemo(t *testing.T) {
 // servingTable builds a dataset the way the serving benchmark and the
 // load harness do: a skewed category, a timestamp, a uniform metric, a
 // metric derived from it, then normal and heavy-tailed metrics.
-func servingTable(t *testing.T, name string, rows, cols int, seed int64) *Table {
+func servingTable(t testing.TB, name string, rows, cols int, seed int64) *Table {
 	t.Helper()
 	cs := []datagen.Col{
 		{Name: "region", Kind: datagen.KindCategory, K: 6},
@@ -400,5 +400,41 @@ func TestDiversityKeySeparatesBinCounts(t *testing.T) {
 	}
 	if c := *a; diversityKey(&c) != diversityKey(a) {
 		t.Error("identical nodes have different diversity keys")
+	}
+}
+
+// TestRankedSetCountsSharedResultsOnce checks the rank| entry's size:
+// every node pays its fixed overhead, and each distinct Result — shared
+// by chart-type siblings and, under a count, by every Y column — is
+// charged once, not once per node.
+func TestRankedSetCountsSharedResultsOnce(t *testing.T) {
+	tab := servingTable(t, "s200x5", 200, 5, 200)
+	nodes, err := New(Options{IncludeOneColumn: true}).Candidates(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := rankedSet{nodes: nodes}
+	perNode := int64(0)
+	want := int64(len(nodes)) * nodeOverhead
+	ys := make(map[*transform.Result]map[string]bool)
+	for _, n := range nodes {
+		perNode += nodeSize(n)
+		if ys[n.Res] == nil {
+			ys[n.Res] = make(map[string]bool)
+			want += resultSize(n.Res)
+		}
+		ys[n.Res][n.YName] = true
+	}
+	if got := rs.sizeBytes(); got != want {
+		t.Fatalf("sizeBytes = %d, want %d (%d nodes over %d Results)", got, want, len(nodes), len(ys))
+	}
+	acrossY := 0
+	for _, set := range ys {
+		if len(set) > 1 {
+			acrossY++
+		}
+	}
+	if acrossY == 0 || want >= perNode {
+		t.Fatalf("%d Results shared across Y columns; size %d, per-node sum %d: nothing shared", acrossY, want, perNode)
 	}
 }

@@ -11,7 +11,7 @@ GO ?= go
 # multiplies their ns/op. BenchmarkDedupe and BenchmarkRankOrder guard
 # two layers of the cold miss: Dedupe formatting values as text again,
 # or the Hasse reduction sorting and allocating per node.
-BENCH_PATTERN ?= BenchmarkTable_SearchSpace|BenchmarkGraphBuild|BenchmarkTopKCached|BenchmarkSearchCachedWarm|BenchmarkVegaLiteCached|BenchmarkDedupe|BenchmarkRankOrder|BenchmarkBuildGraphParallel|BenchmarkAppend|BenchmarkSnapshotTopK|BenchmarkWALAppend|BenchmarkRecovery|BenchmarkColumnarStats|BenchmarkFeatureExtract|BenchmarkNLQParse|BenchmarkAskWarm|BenchmarkAskCold
+BENCH_PATTERN ?= BenchmarkTable_SearchSpace|BenchmarkGraphBuild|BenchmarkExecute|BenchmarkTopKCached|BenchmarkSearchCachedWarm|BenchmarkVegaLiteCached|BenchmarkDedupe|BenchmarkRankOrder|BenchmarkBuildGraphParallel|BenchmarkAppend|BenchmarkSnapshotTopK|BenchmarkWALAppend|BenchmarkRecovery|BenchmarkColumnarStats|BenchmarkFeatureExtract|BenchmarkNLQParse|BenchmarkAskWarm|BenchmarkAskCold
 BENCH_PKGS ?= . ./internal/nlq/
 ZERO_ALLOC ?= BenchmarkColumnarStats|BenchmarkFeatureExtract
 BENCH_COUNT ?= 6

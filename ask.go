@@ -154,13 +154,7 @@ func (s *System) askCompute(ctx context.Context, t *Table, r *nlq.Result, k int)
 	// The batch executor shares per-table scans and column pulls across
 	// candidates and silently drops inexecutable completions, exactly as
 	// enumeration does for its candidate space.
-	var nodes []*vizql.Node
-	var err error
-	if s.opts.Workers != 0 {
-		nodes, err = vizql.ExecuteAllParallelCtx(ctx, t, queries, s.opts.Workers)
-	} else {
-		nodes, err = vizql.ExecuteAllCtx(ctx, t, queries)
-	}
+	nodes, err := vizql.ExecuteAllParallelCtx(ctx, t, queries, s.opts.Workers)
 	if err != nil {
 		return nil, err
 	}

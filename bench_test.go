@@ -8,6 +8,7 @@
 package deepeye_test
 
 import (
+	"context"
 	"testing"
 
 	deepeye "github.com/deepeye/deepeye"
@@ -214,8 +215,46 @@ func ablationNodes(b *testing.B) []*vizql.Node {
 	if err != nil {
 		b.Fatal(err)
 	}
-	nodes := vizql.ExecuteAll(tab, rules.EnumerateQueries(tab))
-	return vizql.Dedupe(nodes)
+	return vizql.Dedupe(executeRules(b, tab))
+}
+
+// The component ablations time the serial (one-worker) stages.
+
+// executeRules enumerates and executes the rule-pruned candidates.
+func executeRules(b *testing.B, tab *deepeye.Table) []*vizql.Node {
+	b.Helper()
+	qs, err := rules.EnumerateQueriesCtx(context.Background(), tab)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return executeSerial(b, tab, qs)
+}
+
+func executeSerial(b *testing.B, tab *deepeye.Table, qs []vizql.Query) []*vizql.Node {
+	b.Helper()
+	nodes, err := vizql.ExecuteAllParallelCtx(context.Background(), tab, qs, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return nodes
+}
+
+func serialFactors(b *testing.B, nodes []*vizql.Node) []rank.Factors {
+	b.Helper()
+	fs, err := rank.ComputeFactorsWorkersCtx(context.Background(), nodes, rank.FactorOptions{}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return fs
+}
+
+func serialGraph(b *testing.B, nodes []*vizql.Node, fs []rank.Factors, method rank.BuildMethod) *rank.Graph {
+	b.Helper()
+	g, err := rank.BuildGraphCtx(context.Background(), nodes, fs, method, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g
 }
 
 // BenchmarkGraphBuildNaive / QuickSort / RangeTree compare the three
@@ -226,11 +265,11 @@ func BenchmarkGraphBuildRangeTree(b *testing.B) { benchGraphBuild(b, rank.BuildR
 
 func benchGraphBuild(b *testing.B, method rank.BuildMethod) {
 	nodes := ablationNodes(b)
-	factors := rank.ComputeFactors(nodes, rank.FactorOptions{})
+	factors := serialFactors(b, nodes)
 	b.ResetTimer()
 	var comparisons int
 	for i := 0; i < b.N; i++ {
-		g := rank.BuildGraph(nodes, factors, method)
+		g := serialGraph(b, nodes, factors, method)
 		comparisons = g.Comparisons()
 	}
 	b.ReportMetric(float64(comparisons), "comparisons")
@@ -245,7 +284,7 @@ func BenchmarkEnumerationExhaustive(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vizql.ExecuteAll(tab, vizql.EnumerateQueries(tab))
+		executeSerial(b, tab, vizql.EnumerateQueries(tab))
 	}
 }
 
@@ -256,7 +295,7 @@ func BenchmarkEnumerationRules(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vizql.ExecuteAll(tab, rules.EnumerateQueries(tab))
+		executeRules(b, tab)
 	}
 }
 
@@ -291,16 +330,20 @@ func BenchmarkGraphTopK(b *testing.B) {
 }
 
 // BenchmarkTransformSharing isolates §V-B optimization 1: the shared
-// bucketing pass inside ExecuteAll versus executing each query alone.
+// bucketing pass inside the batch executor versus executing each query
+// alone.
 func BenchmarkTransformSharing(b *testing.B) {
 	tab, err := datagen.TestSet(9, 0.02)
 	if err != nil {
 		b.Fatal(err)
 	}
-	qs := rules.EnumerateQueries(tab)
+	qs, err := rules.EnumerateQueriesCtx(context.Background(), tab)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("shared", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			vizql.ExecuteAll(tab, qs)
+			executeSerial(b, tab, qs)
 		}
 	})
 	b.Run("individual", func(b *testing.B) {
@@ -333,8 +376,7 @@ func BenchmarkCrossValidation(b *testing.B) {
 // dominance closure into the scored Hasse diagram.
 func BenchmarkHasseReduce(b *testing.B) {
 	nodes := ablationNodes(b)
-	factors := rank.ComputeFactors(nodes, rank.FactorOptions{})
-	g := rank.BuildGraph(nodes, factors, rank.BuildQuickSort)
+	g := serialGraph(b, nodes, serialFactors(b, nodes), rank.BuildQuickSort)
 	b.ResetTimer()
 	var edges int
 	for i := 0; i < b.N; i++ {

@@ -91,7 +91,7 @@ func main() {
 		// runs many requests concurrently (-max-inflight), so fanning each
 		// one out to every core helps tail latency only when the box has
 		// idle cores. Results are identical either way.
-		workers = flag.Int("workers", 1, "per-request selection-pipeline worker count; 1 = serial, negative = GOMAXPROCS")
+		workers = flag.Int("workers", 1, "per-request selection-pipeline worker count: 0 and 1 run inline, n > 1 uses at most n goroutines per stage, negative = GOMAXPROCS")
 	)
 	flag.Parse()
 

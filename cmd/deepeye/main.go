@@ -55,7 +55,7 @@ func main() {
 		width       = flag.Int("width", 60, "ASCII chart width")
 		timeout     = flag.Duration("timeout", 0, "bound selection time; expired runs fail with a deadline error (0 = none)")
 		stats       = flag.Bool("stats", false, "print per-stage pipeline timings after the run")
-		workers     = flag.Int("workers", -1, "selection-pipeline worker count; 1 = serial, negative = GOMAXPROCS (results are identical either way)")
+		workers     = flag.Int("workers", -1, "selection-pipeline worker count: 0 and 1 run inline, n > 1 uses at most n goroutines per stage, negative = GOMAXPROCS (results are identical either way)")
 		dataDir     = flag.String("data-dir", "", "durability directory for the -append live registry: datasets journaled there survive across runs (empty = in-memory only)")
 	)
 	flag.Parse()

@@ -137,13 +137,14 @@ type Options struct {
 	UseRecognizer bool
 	// Workers parallelizes the selection pipeline across a bounded worker
 	// pool (the paper notes the task is trivially parallelizable, §VI-D):
-	// candidate materialization, factor computation, dominance-graph
-	// construction, batch classifier/ranker inference, and the
-	// progressive selector's per-column passes. 0 = sequential;
-	// 1 = the serial path (the differential-testing oracle); negative =
-	// GOMAXPROCS. Results are bit-identical for any worker count — the
-	// differential test suite asserts parallel == serial — so Workers
-	// trades wall time only, never output.
+	// candidate materialization (one X column per task), factor
+	// computation, dominance-graph construction, batch classifier/ranker
+	// inference, and the progressive selector's per-column passes. 0 and
+	// 1 run every stage inline on the caller's goroutine, n > 1 uses at
+	// most n goroutines per stage, and a negative count means GOMAXPROCS.
+	// Results are bit-identical for any worker count — the differential
+	// test suite asserts parallel == serial — so Workers trades wall time
+	// only, never output.
 	Workers int
 	// CacheSize, when positive, enables the result/statistics cache: a
 	// sharded LRU with this total byte budget memoizing TopK, Search,
@@ -390,7 +391,7 @@ func (s *System) CandidatesCtx(ctx context.Context, t *Table) ([]*vizql.Node, er
 			return nil, err
 		}
 		if !s.opts.IncludeOneColumn {
-			// rules.EnumerateQueries includes one-column histograms;
+			// rules.EnumerateQueriesCtx includes one-column histograms;
 			// filter them out when not requested.
 			filtered := queries[:0]
 			for _, q := range queries {
@@ -403,12 +404,7 @@ func (s *System) CandidatesCtx(ctx context.Context, t *Table) ([]*vizql.Node, er
 	}
 	stop()
 	stop = obs.StageTimer(obs.StageExecute)
-	var nodes []*vizql.Node
-	if s.opts.Workers != 0 {
-		nodes, err = vizql.ExecuteAllParallelCtx(ctx, t, queries, s.opts.Workers)
-	} else {
-		nodes, err = vizql.ExecuteAllCtx(ctx, t, queries)
-	}
+	nodes, err := vizql.ExecuteAllParallelCtx(ctx, t, queries, s.opts.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -45,8 +45,30 @@ func assertSameVisualizations(t *testing.T, want, got []*Visualization, label st
 
 // TestDifferentialTopKWorkers is the end-to-end differential guarantee
 // on the public API: for every table, k, and graph-build method, TopK
-// with Workers=N is byte-identical to the serial Workers=1 oracle.
+// with Workers=N is byte-identical to the serial Workers=1 oracle, and
+// so is the candidate sequence (one-column histograms included) that
+// Candidates returns.
 func TestDifferentialTopKWorkers(t *testing.T) {
+	for _, tab := range diffTables(t) {
+		want, err := New(Options{Workers: 1, IncludeOneColumn: true}).Candidates(tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 8, -1} {
+			got, err := New(Options{Workers: workers, IncludeOneColumn: true}).Candidates(tab)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("workers=%d: %d candidates, want %d", workers, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Query.Key() != want[i].Query.Key() {
+					t.Fatalf("workers=%d: candidate %d = %s, want %s", workers, i, got[i].Query.Key(), want[i].Query.Key())
+				}
+			}
+		}
+	}
 	for ti, tab := range diffTables(t) {
 		for _, build := range []rank.BuildMethod{rank.BuildNaive, rank.BuildQuickSort, rank.BuildRangeTree} {
 			serial := New(Options{Workers: 1, GraphBuild: build})

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -31,7 +32,10 @@ func main() {
 
 	// Rule pruning (§V-A).
 	start := time.Now()
-	ruleQueries := rules.EnumerateQueries(tab)
+	ruleQueries, err := rules.EnumerateQueriesCtx(context.Background(), tab)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("rule-pruned candidates: %d (%.1f%% of the two-column bound) in %v\n",
 		len(ruleQueries),
 		100*float64(len(ruleQueries))/float64(vizql.SearchSpaceTwoColumns(m)),
@@ -48,7 +52,7 @@ func main() {
 
 	// Progressive tournament (§V-B): same table, same k.
 	start = time.Now()
-	results, stats, err := progressive.TopK(tab, 5, progressive.Options{IncludeOneColumn: true})
+	results, stats, err := progressive.TopKCtx(context.Background(), tab, 5, progressive.Options{IncludeOneColumn: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,6 +14,7 @@
 package crowd
 
 import (
+	"context"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -218,7 +219,9 @@ func (o Oracle) Compare(a, b *vizql.Node) bool {
 // Good/bad labels deliberately exclude the set-relative part; see
 // DESIGN.md §2.
 func (o Oracle) rankScores(nodes []*vizql.Node) []float64 {
-	factors := rank.ComputeFactors(nodes, rank.FactorOptions{})
+	// The factor pass fails only when its context does, and this one is
+	// never cancelled.
+	factors, _ := rank.ComputeFactorsWorkersCtx(context.Background(), nodes, rank.FactorOptions{}, 1)
 	scores := make([]float64, len(nodes))
 	for i, n := range nodes {
 		wisdom := (factors[i].M + factors[i].Q + factors[i].W) / 3

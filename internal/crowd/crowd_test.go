@@ -1,6 +1,7 @@
 package crowd
 
 import (
+	"context"
 	"testing"
 
 	"github.com/deepeye/deepeye/internal/datagen"
@@ -15,7 +16,14 @@ func candidateNodes(t *testing.T) []*vizql.Node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := vizql.ExecuteAll(tab, rules.EnumerateQueries(tab))
+	qs, err := rules.EnumerateQueriesCtx(context.Background(), tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, err := vizql.ExecuteAllParallelCtx(context.Background(), tab, qs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(nodes) == 0 {
 		t.Fatal("no candidates")
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	deepeye "github.com/deepeye/deepeye"
@@ -153,8 +154,8 @@ func AblationRanking(cfg Config) (*AblationRankingResult, error) {
 	res := &AblationRankingResult{Datasets: datagen.TestSetNames}
 	for i := range test {
 		ls := goodSubset(test[i])
-		factors := rank.ComputeFactors(ls.nodes, rank.FactorOptions{})
-		g := rank.BuildGraph(ls.nodes, factors, rank.BuildQuickSort).Reduce()
+		built, _ := rank.BuildGraphCtx(context.Background(), ls.nodes, factorsOf(ls.nodes), rank.BuildQuickSort, 1)
+		g := built.Reduce()
 		res.WeightAware = append(res.WeightAware, ndcgOfOrder(g.TopK(len(ls.nodes)), ls.rel))
 		res.Topological = append(res.Topological, ndcgOfOrder(g.TopologicalOrder(), ls.rel))
 	}

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -57,12 +58,31 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// The experiments run every pipeline stage on one worker, so the Fig. 12
+// timings measure the serial pipeline, and without cancellation, so no
+// stage can fail (each fails only when its context does).
+
+// ruleCandidates enumerates and executes the rule-pruned candidates.
+func ruleCandidates(t *dataset.Table) []*vizql.Node {
+	qs, _ := rules.EnumerateQueriesCtx(context.Background(), t)
+	return execute(t, qs)
+}
+
+func execute(t *dataset.Table, qs []vizql.Query) []*vizql.Node {
+	nodes, _ := vizql.ExecuteAllParallelCtx(context.Background(), t, qs, 1)
+	return nodes
+}
+
+func factorsOf(nodes []*vizql.Node) []rank.Factors {
+	fs, _ := rank.ComputeFactorsWorkersCtx(context.Background(), nodes, rank.FactorOptions{}, 1)
+	return fs
+}
+
 // candidateSet enumerates rule-pruned candidates for a table, capped by a
 // strided subsample so the cap does not bias toward the first columns'
 // candidates (enumeration is column-ordered).
 func candidateSet(t *dataset.Table, maxN int) []*vizql.Node {
-	nodes := vizql.ExecuteAll(t, rules.EnumerateQueries(t))
-	nodes = vizql.Dedupe(nodes)
+	nodes := vizql.Dedupe(ruleCandidates(t))
 	if maxN > 0 && len(nodes) > maxN {
 		sampled := make([]*vizql.Node, 0, maxN)
 		for i := 0; i < maxN; i++ {
@@ -391,8 +411,7 @@ func goodSubset(ls labelledSet) labelledSet {
 }
 
 func poOrder(nodes []*vizql.Node) []int {
-	factors := rank.ComputeFactors(nodes, rank.FactorOptions{})
-	order, _ := rank.Order(nodes, factors, rank.SelectOptions{Build: rank.BuildQuickSort})
+	order, _, _ := rank.OrderCtx(context.Background(), nodes, factorsOf(nodes), rank.SelectOptions{Build: rank.BuildQuickSort})
 	return order
 }
 
@@ -493,11 +512,10 @@ func Efficiency(cfg Config, datasets []int) ([]EfficiencyRow, error) {
 				}
 			}
 			if len(kept) > 0 {
-				factors := rank.ComputeFactors(kept, rank.FactorOptions{})
 				// Selection wants a first page, not a total order; the
 				// shortlist keeps the dominance graph small (§V-B's
 				// second optimization in graph form).
-				rank.Order(kept, factors, rank.SelectOptions{Build: rank.BuildQuickSort, MaxGraphNodes: 400})
+				rank.OrderCtx(context.Background(), kept, factorsOf(kept), rank.SelectOptions{Build: rank.BuildQuickSort, MaxGraphNodes: 400})
 			}
 		}
 	}
@@ -510,12 +528,12 @@ func Efficiency(cfg Config, datasets []int) ([]EfficiencyRow, error) {
 		row := EfficiencyRow{Dataset: datagen.TestSetNames[di]}
 
 		start := time.Now()
-		eNodes := vizql.Dedupe(vizql.ExecuteAll(t, vizql.EnumerateQueries(t)))
+		eNodes := vizql.Dedupe(execute(t, vizql.EnumerateQueries(t)))
 		row.EnumE = time.Since(start)
 		row.Candidates.E = len(eNodes)
 
 		start = time.Now()
-		rNodes := vizql.Dedupe(vizql.ExecuteAll(t, rules.EnumerateQueries(t)))
+		rNodes := vizql.Dedupe(ruleCandidates(t))
 		row.EnumR = time.Since(start)
 		row.Candidates.R = len(rNodes)
 

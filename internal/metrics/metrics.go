@@ -63,14 +63,6 @@ func (c Confusion) Accuracy() float64 {
 	return float64(c.TP+c.TN) / float64(n)
 }
 
-// Merge accumulates another confusion matrix into c.
-func (c *Confusion) Merge(o Confusion) {
-	c.TP += o.TP
-	c.FP += o.FP
-	c.TN += o.TN
-	c.FN += o.FN
-}
-
 // DCG computes the discounted cumulative gain of a relevance sequence in
 // ranked order, using the standard gain (2^rel − 1) / log2(i + 2).
 func DCG(rels []float64, k int) float64 {

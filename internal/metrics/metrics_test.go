@@ -38,15 +38,6 @@ func TestConfusionEmpty(t *testing.T) {
 	}
 }
 
-func TestConfusionMerge(t *testing.T) {
-	a := Confusion{TP: 1, FP: 2, TN: 3, FN: 4}
-	b := Confusion{TP: 10, FP: 20, TN: 30, FN: 40}
-	a.Merge(b)
-	if a.TP != 11 || a.FP != 22 || a.TN != 33 || a.FN != 44 {
-		t.Errorf("merged = %+v", a)
-	}
-}
-
 func TestNDCGPerfect(t *testing.T) {
 	rels := []float64{3, 2, 1, 0}
 	if n := NDCGAt(rels); math.Abs(n-1) > 1e-12 {

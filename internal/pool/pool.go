@@ -10,9 +10,9 @@
 // The pool is built for deterministic parallelism: work is handed out
 // dynamically (an atomic cursor over index blocks) but callers write
 // results only into index-owned slots, so the assembled output is
-// independent of scheduling. Workers == 1 runs the loop inline on the
-// caller's goroutine — the serial oracle differential tests compare
-// against.
+// independent of scheduling. A worker count of 0 or 1 runs the loop
+// inline on the caller's goroutine — the serial oracle differential
+// tests compare against.
 package pool
 
 import (
@@ -27,9 +27,10 @@ import (
 	"github.com/deepeye/deepeye/internal/obs"
 )
 
-// Normalize resolves an Options.Workers-style count: negative means one
-// worker per GOMAXPROCS slot, zero and one mean serial, anything else is
-// taken literally.
+// Normalize resolves a worker count, and is the only place one is
+// interpreted: 0 and 1 mean one worker (the caller's own goroutine),
+// n > 1 means at most n goroutines, and a negative count means one per
+// GOMAXPROCS slot.
 func Normalize(workers int) int {
 	if workers < 0 {
 		return runtime.GOMAXPROCS(0)
@@ -49,19 +50,6 @@ type panicError struct {
 
 func (p *panicError) Error() string {
 	return fmt.Sprintf("pool: worker panic: %v\n%s", p.val, p.stack)
-}
-
-// ForEach runs fn(i) for every index in [0, n) across at most workers
-// goroutines. See ForEachBlock for the contract.
-func ForEach(ctx context.Context, op string, workers, n int, fn func(i int) error) error {
-	return ForEachBlock(ctx, op, workers, n, 0, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 }
 
 // ForEachBlock partitions [0, n) into contiguous blocks of the given
@@ -176,13 +164,12 @@ func ForEachBlock(ctx context.Context, op string, workers, n, block int, fn func
 // otherwise, so a Group never queues unboundedly and never deadlocks on
 // nested Go calls. Worker panics are captured and re-raised by Wait.
 type Group struct {
-	op        string
-	sem       chan struct{}
-	wg        sync.WaitGroup
-	once      sync.Once
-	panicking atomic.Bool
-	pval      *panicError
-	start     time.Time
+	op    string
+	sem   chan struct{}
+	wg    sync.WaitGroup
+	once  sync.Once
+	pval  *panicError
+	start time.Time
 }
 
 // NewGroup creates a group with the given worker bound (Normalize
@@ -193,10 +180,6 @@ func NewGroup(op string, workers int) *Group {
 	obs.SetPoolWorkers(op, workers)
 	return g
 }
-
-// Aborted reports whether a task has panicked; long-running tasks can
-// poll it to unwind early.
-func (g *Group) Aborted() bool { return g.panicking.Load() }
 
 // Go runs task, on a pooled goroutine if a slot is free and inline
 // otherwise. Inline execution propagates panics directly; pooled
@@ -212,7 +195,6 @@ func (g *Group) Go(task func()) {
 			defer func() {
 				if v := recover(); v != nil {
 					g.once.Do(func() { g.pval = &panicError{val: v, stack: debug.Stack()} })
-					g.panicking.Store(true)
 				}
 			}()
 			busy.Inc()

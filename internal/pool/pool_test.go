@@ -31,8 +31,10 @@ func TestForEachCoversEveryIndex(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8, 33} {
 		for _, n := range []int{0, 1, 2, 7, 64, 1000} {
 			seen := make([]atomic.Int32, n)
-			err := ForEach(context.Background(), "test", workers, n, func(i int) error {
-				seen[i].Add(1)
+			err := ForEachBlock(context.Background(), "test", workers, n, 0, func(lo, hi int) error {
+				for i := lo; i < hi; i++ {
+					seen[i].Add(1)
+				}
 				return nil
 			})
 			if err != nil {
@@ -72,10 +74,12 @@ func TestForEachBlockContiguousDisjoint(t *testing.T) {
 func TestForEachFirstErrorWins(t *testing.T) {
 	sentinel := errors.New("boom")
 	var calls atomic.Int64
-	err := ForEach(context.Background(), "test", 4, 10_000, func(i int) error {
-		calls.Add(1)
-		if i == 137 {
-			return sentinel
+	err := ForEachBlock(context.Background(), "test", 4, 10_000, 0, func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			calls.Add(1)
+			if i == 137 {
+				return sentinel
+			}
 		}
 		return nil
 	})
@@ -91,7 +95,7 @@ func TestForEachCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		err := ForEach(ctx, "test", workers, 100, func(i int) error { return nil })
+		err := ForEachBlock(ctx, "test", workers, 100, 0, func(lo, hi int) error { return nil })
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
@@ -122,8 +126,8 @@ func TestForEachPanicPropagates(t *testing.T) {
 			t.Fatalf("recovered %v, want wrapped kaboom", v)
 		}
 	}()
-	_ = ForEach(context.Background(), "test", 4, 100, func(i int) error {
-		if i == 42 {
+	_ = ForEachBlock(context.Background(), "test", 4, 100, 0, func(lo, hi int) error {
+		if lo <= 42 && 42 < hi {
 			panic("kaboom")
 		}
 		return nil
@@ -136,7 +140,7 @@ func TestForEachSerialPanicPropagates(t *testing.T) {
 			t.Fatal("serial panic was swallowed")
 		}
 	}()
-	_ = ForEach(context.Background(), "test", 1, 10, func(i int) error {
+	_ = ForEachBlock(context.Background(), "test", 1, 10, 0, func(lo, hi int) error {
 		panic("serial kaboom")
 	})
 }
@@ -197,7 +201,7 @@ func TestGroupPanicPropagates(t *testing.T) {
 }
 
 func TestPoolMetricsReported(t *testing.T) {
-	if err := ForEach(context.Background(), "metrics_probe", 2, 64, func(i int) error { return nil }); err != nil {
+	if err := ForEachBlock(context.Background(), "metrics_probe", 2, 64, 0, func(lo, hi int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder

@@ -41,10 +41,10 @@ type Options struct {
 	// IncludeOneColumn adds single-column histogram candidates.
 	IncludeOneColumn bool
 	// Workers fans the per-column work — leaf-list construction and the
-	// shared bucketing pass's per-column sums — across a bounded worker
-	// pool: 0 and 1 mean serial, negative means GOMAXPROCS. Results are
-	// identical for any worker count (each column's work is independent
-	// and assembled in column order).
+	// shared bucketing pass's per-column sums — across at most this many
+	// goroutines (pool.Normalize: 0 and 1 run inline, negative means
+	// GOMAXPROCS). Results are identical for any worker count (each
+	// column's work is independent and assembled in column order).
 	Workers int
 }
 
@@ -61,15 +61,11 @@ type Stats struct {
 	NodesEmitted      int
 }
 
-// TopK returns the k best charts for the table under the progressive
-// tournament. Results come back best-first with ORDER BY applied.
-func TopK(t *dataset.Table, k int, opts Options) ([]Result, Stats, error) {
-	return TopKCtx(context.Background(), t, k, opts)
-}
-
-// TopKCtx is TopK with cancellation: the tournament loop re-checks ctx
-// before every spec materialization (each one is at most a pass over
-// the data), so a cancelled selection returns ctx.Err() promptly.
+// TopKCtx returns the k best charts for the table under the progressive
+// tournament. Results come back best-first with ORDER BY applied. The
+// tournament loop re-checks ctx before every spec materialization (each
+// one is at most a pass over the data), so a cancelled selection
+// returns ctx.Err() promptly.
 func TopKCtx(ctx context.Context, t *dataset.Table, k int, opts Options) ([]Result, Stats, error) {
 	if k <= 0 {
 		return nil, Stats{}, fmt.Errorf("progressive: k must be positive, got %d", k)
@@ -165,10 +161,6 @@ type bucketing struct {
 	count  []float64
 	sums   map[string][]float64 // y column -> per-bucket sum
 	input  int
-}
-
-func newSelector(t *dataset.Table, opts Options) *selector {
-	return newSelectorCtx(context.Background(), t, opts)
 }
 
 // newSelectorCtx builds the per-column leaf lists, fanning columns out

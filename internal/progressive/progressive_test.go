@@ -1,6 +1,7 @@
 package progressive
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -45,7 +46,7 @@ func testTable(t *testing.T, rows int) *dataset.Table {
 
 func TestTopKReturnsKResults(t *testing.T) {
 	tab := testTable(t, 500)
-	res, st, err := TopK(tab, 5, Options{IncludeOneColumn: true})
+	res, st, err := TopKCtx(context.Background(), tab, 5, Options{IncludeOneColumn: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestTopKReturnsKResults(t *testing.T) {
 
 func TestKExceedsCandidates(t *testing.T) {
 	tab := testTable(t, 100)
-	res, _, err := TopK(tab, 100000, Options{})
+	res, _, err := TopKCtx(context.Background(), tab, 100000, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,14 +83,14 @@ func TestKExceedsCandidates(t *testing.T) {
 
 func TestInvalidK(t *testing.T) {
 	tab := testTable(t, 50)
-	if _, _, err := TopK(tab, 0, Options{}); err == nil {
+	if _, _, err := TopKCtx(context.Background(), tab, 0, Options{}); err == nil {
 		t.Error("k=0 should fail")
 	}
 }
 
 func TestPruningSkipsWork(t *testing.T) {
 	tab := testTable(t, 500)
-	_, st, err := TopK(tab, 3, Options{IncludeOneColumn: true})
+	_, st, err := TopKCtx(context.Background(), tab, 3, Options{IncludeOneColumn: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,12 +104,19 @@ func TestMatchesExhaustiveScoring(t *testing.T) {
 	// candidate by the same leaf score and taking the best k.
 	tab := testTable(t, 300)
 	k := 5
-	res, _, err := TopK(tab, k, Options{})
+	res, _, err := TopKCtx(context.Background(), tab, k, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	nodes := vizql.ExecuteAll(tab, rules.EnumerateQueries(tab))
+	qs, err := rules.EnumerateQueriesCtx(context.Background(), tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, err := vizql.ExecuteAllParallelCtx(context.Background(), tab, qs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	type scored struct {
 		key   string
 		score float64
@@ -133,7 +141,7 @@ func TestMatchesExhaustiveScoring(t *testing.T) {
 
 func TestSharedBucketingMatchesDirectTransform(t *testing.T) {
 	tab := testTable(t, 400)
-	sel := newSelector(tab, Options{})
+	sel := newSelectorCtx(context.Background(), tab, Options{})
 	x := tab.Column("when")
 	y := tab.Column("amount")
 	for _, agg := range []transform.Agg{transform.AggSum, transform.AggAvg, transform.AggCnt} {
@@ -157,7 +165,7 @@ func TestSharedBucketingMatchesDirectTransform(t *testing.T) {
 
 func TestFinalOrderApplied(t *testing.T) {
 	tab := testTable(t, 300)
-	res, _, err := TopK(tab, 8, Options{})
+	res, _, err := TopKCtx(context.Background(), tab, 8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +191,11 @@ func TestFinalOrderApplied(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	tab := testTable(t, 300)
-	r1, _, err := TopK(tab, 6, Options{})
+	r1, _, err := TopKCtx(context.Background(), tab, 6, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _, err := TopK(tab, 6, Options{})
+	r2, _, err := TopKCtx(context.Background(), tab, 6, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,8 +65,8 @@ func assertGraphsBitIdentical(t *testing.T, want, got *Graph, label string) {
 }
 
 // TestParallelGraphMatchesSerial is the core differential guarantee: for
-// every build method and worker count, BuildGraphParCtx output is
-// bit-identical to the serial BuildGraphCtx oracle — edge sets, weights,
+// every build method and worker count, BuildGraphCtx output is
+// bit-identical to its one-worker serial oracle — edge sets, weights,
 // comparison counts, scores, and top-k order.
 func TestParallelGraphMatchesSerial(t *testing.T) {
 	methods := []BuildMethod{BuildNaive, BuildQuickSort, BuildRangeTree}
@@ -76,12 +76,12 @@ func TestParallelGraphMatchesSerial(t *testing.T) {
 			fs := randFactors(seed, n)
 			nodes := make([]*vizql.Node, n)
 			for mi, method := range methods {
-				serial, err := BuildGraphCtx(context.Background(), nodes, fs, method)
+				serial, err := BuildGraphCtx(context.Background(), nodes, fs, method, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, workers := range []int{2, 3, 4, 8} {
-					par, err := BuildGraphParCtx(context.Background(), nodes, fs, method, workers)
+					par, err := BuildGraphCtx(context.Background(), nodes, fs, method, workers)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -111,8 +111,8 @@ func TestParallelGraphMatchesSerial(t *testing.T) {
 func TestParallelSmallFallsBackToSerial(t *testing.T) {
 	fs := randFactors(7, parMinNodes-1)
 	nodes := make([]*vizql.Node, len(fs))
-	serial := BuildGraph(nodes, fs, BuildNaive)
-	par := BuildGraphPar(nodes, fs, BuildNaive, 8)
+	serial := buildGraph(nodes, fs, BuildNaive, 1)
+	par := buildGraph(nodes, fs, BuildNaive, 8)
 	assertGraphsBitIdentical(t, serial, par, "small-set")
 }
 
@@ -123,9 +123,9 @@ func TestParallelOrderMatchesSerial(t *testing.T) {
 	fs := randFactors(42, 400)
 	nodes := make([]*vizql.Node, len(fs))
 	for _, method := range []BuildMethod{BuildNaive, BuildQuickSort, BuildRangeTree} {
-		wantOrder, wantScores := Order(nodes, fs, SelectOptions{Build: method})
+		wantOrder, wantScores, _ := OrderCtx(context.Background(), nodes, fs, SelectOptions{Build: method})
 		for _, workers := range []int{2, 4, 8} {
-			gotOrder, gotScores := Order(nodes, fs, SelectOptions{Build: method, Workers: workers})
+			gotOrder, gotScores, _ := OrderCtx(context.Background(), nodes, fs, SelectOptions{Build: method, Workers: workers})
 			if len(gotOrder) != len(wantOrder) {
 				t.Fatalf("method=%d workers=%d: order length %d, want %d", method, workers, len(gotOrder), len(wantOrder))
 			}
@@ -177,13 +177,13 @@ func TestParallelCancellationPoints(t *testing.T) {
 	fs := randFactors(3, n)
 	nodes := make([]*vizql.Node, n)
 	for _, method := range []BuildMethod{BuildNaive, BuildQuickSort, BuildRangeTree} {
-		oracle, err := BuildGraphCtx(context.Background(), nodes, fs, method)
+		oracle, err := BuildGraphCtx(context.Background(), nodes, fs, method, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4} {
 			for _, budget := range []int64{0, 1, 2, 5, 17, 50, 1 << 40} {
-				g, err := BuildGraphParCtx(newCountdownCtx(budget), nodes, fs, method, workers)
+				g, err := BuildGraphCtx(newCountdownCtx(budget), nodes, fs, method, workers)
 				switch {
 				case err != nil:
 					if !errors.Is(err, context.Canceled) {
@@ -206,7 +206,7 @@ func TestParallelCancellationPoints(t *testing.T) {
 // serial oracle on real materialized nodes (the flights table).
 func TestParallelFactorsMatchSerial(t *testing.T) {
 	nodes := flightNodes(t)
-	want, err := ComputeFactorsCtx(context.Background(), nodes, FactorOptions{})
+	want, err := ComputeFactorsWorkersCtx(context.Background(), nodes, FactorOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

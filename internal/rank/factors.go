@@ -125,34 +125,21 @@ func rawQ(n *vizql.Node) float64 {
 	return q
 }
 
-// ComputeFactors computes normalized M, Q, W for a candidate set. The
-// normalizations are set-relative (eq. 5 normalizes M per chart type,
-// eq. 8 normalizes W over all nodes), so factors are only comparable
-// within one candidate set.
-func ComputeFactors(nodes []*vizql.Node, opts FactorOptions) []Factors {
-	fs, _ := ComputeFactorsCtx(context.Background(), nodes, opts)
-	return fs
-}
-
-// ComputeFactorsCtx is ComputeFactors with cancellation, checked
-// periodically through the per-node factor loop (rawM walks each node's
-// transformed labels, so large candidate sets take real time).
-func ComputeFactorsCtx(ctx context.Context, nodes []*vizql.Node, opts FactorOptions) ([]Factors, error) {
-	return ComputeFactorsWorkersCtx(ctx, nodes, opts, 1)
-}
-
-// ComputeFactorsWorkersCtx is ComputeFactorsCtx with the raw per-node
-// factor pass (the expensive part — rawM walks each node's transformed
-// labels) fanned out across a bounded worker pool; workers follows
-// pool.Normalize semantics. Each worker writes only its own index range
-// and the normalizations run serially afterwards, so the result is
-// bit-identical to the serial pass regardless of worker count.
+// ComputeFactorsWorkersCtx computes normalized M, Q, W for a candidate
+// set. The normalizations are set-relative (eq. 5 normalizes M per chart
+// type, eq. 8 normalizes W over all nodes), so factors are only
+// comparable within one candidate set.
+//
+// The raw per-node factor pass (the expensive part — rawM walks each
+// node's transformed labels) fans out across at most workers goroutines
+// (pool.Normalize) and re-checks ctx every 256 nodes. Each worker writes
+// only its own index range and the normalizations run serially
+// afterwards, so the result is bit-identical for every worker count.
 func ComputeFactorsWorkersCtx(ctx context.Context, nodes []*vizql.Node, opts FactorOptions, workers int) ([]Factors, error) {
 	o := opts.withDefaults()
 	fs := make([]Factors, len(nodes))
 
-	// Raw M and Q per node. The 256-index block keeps the serial path's
-	// cancellation cadence (one ctx check every 256 nodes).
+	// Raw M and Q per node, one ctx check per 256-index block.
 	err := pool.ForEachBlock(ctx, "factors", workers, len(nodes), 256, func(lo, hi int) error {
 		if err := ctx.Err(); err != nil {
 			return err

@@ -73,7 +73,7 @@ func FuzzComputeFactors(f *testing.F) {
 				uint8(rng.Intn(256)), inputRows+rng.Intn(7)-3, uint8(rng.Intn(256)),
 				rng.Intn(4) != 0, y, corr, trend)
 		}
-		fs := ComputeFactors(nodes, FactorOptions{})
+		fs := computeFactors(nodes)
 		if len(fs) != len(nodes) {
 			t.Fatalf("got %d factor triples for %d nodes", len(fs), len(nodes))
 		}

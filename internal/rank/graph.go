@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 
+	"github.com/deepeye/deepeye/internal/pool"
 	"github.com/deepeye/deepeye/internal/rangetree"
 	"github.com/deepeye/deepeye/internal/vizql"
 )
@@ -65,26 +66,56 @@ func (g *Graph) NumEdges() int {
 	return n
 }
 
-// BuildGraph constructs the dominance graph with the selected method.
-func BuildGraph(nodes []*vizql.Node, factors []Factors, method BuildMethod) *Graph {
-	g, _ := BuildGraphCtx(context.Background(), nodes, factors, method)
-	return g
-}
-
-// BuildGraphCtx is BuildGraph with cancellation: construction re-checks
-// ctx every checkStride pairwise comparisons and returns ctx.Err()
-// (with a nil graph) once cancellation is observed.
-func BuildGraphCtx(ctx context.Context, nodes []*vizql.Node, factors []Factors, method BuildMethod) (*Graph, error) {
+// BuildGraphCtx constructs the dominance graph with the selected method
+// across at most workers goroutines (pool.Normalize: 0 and 1 run the
+// serial builders inline, as does a graph too small to be worth a
+// worker). Construction re-checks ctx every checkStride pairwise
+// comparisons and returns ctx.Err() (with a nil graph) once cancellation
+// is observed.
+//
+// The parallel build is bit-identical to the serial one — edge sets,
+// weights, Scores, NumEdges, and Comparisons all match exactly, and the
+// serial builders are the differential suite's oracle. Determinism holds
+// because every strategy writes edges only into rows its task owns (or
+// buffers them and merges in task index order), edge weights are pure
+// functions of the factor pair, per-row edge order is normalized by
+// sortEdges (every row's targets are unique), and comparison counts are
+// integer sums of per-task counts whose multiset is
+// scheduling-independent.
+func BuildGraphCtx(ctx context.Context, nodes []*vizql.Node, factors []Factors, method BuildMethod, workers int) (*Graph, error) {
 	g := &Graph{
 		Nodes:   nodes,
 		Factors: factors,
 		Out:     make([][]int32, len(nodes)),
 		OutW:    make([][]float64, len(nodes)),
-		ctx:     ctx,
 	}
+	var err error
+	switch w := pool.Normalize(workers); {
+	case w == 1 || len(nodes) < parMinNodes:
+		err = g.buildSerial(ctx, method)
+	case method == BuildQuickSort:
+		err = g.buildPartitionPar(ctx, w)
+	case method == BuildRangeTree:
+		err = g.buildRangeTreePar(ctx, w)
+	default:
+		err = g.buildNaivePar(ctx, w)
+	}
+	if err != nil {
+		return nil, err
+	}
+	// Deterministic edge order simplifies equality checks and scoring.
+	for i := range g.Out {
+		sortEdges(g.Out[i], g.OutW[i])
+	}
+	return g, nil
+}
+
+// buildSerial runs the selected builder on the caller's goroutine.
+func (g *Graph) buildSerial(ctx context.Context, method BuildMethod) error {
+	g.ctx = ctx
 	switch method {
 	case BuildQuickSort:
-		idx := make([]int, len(nodes))
+		idx := make([]int, len(g.Nodes))
 		for i := range idx {
 			idx[i] = i
 		}
@@ -94,15 +125,11 @@ func BuildGraphCtx(ctx context.Context, nodes []*vizql.Node, factors []Factors, 
 	default:
 		g.buildNaive()
 	}
-	if g.cancelled {
-		return nil, ctx.Err()
-	}
-	// Deterministic edge order simplifies equality checks and scoring.
-	for i := range g.Out {
-		sortEdges(g.Out[i], g.OutW[i])
-	}
 	g.ctx = nil // construction done; drop the reference
-	return g, nil
+	if g.cancelled {
+		return ctx.Err()
+	}
+	return nil
 }
 
 // tick counts one comparison against the cancellation stride and
@@ -339,25 +366,4 @@ func (g *Graph) TopologicalOrder() []int {
 		}
 	}
 	return order
-}
-
-// Skyline returns the indices of the undominated nodes — the maximal
-// elements of the partial order (no other candidate beats them on every
-// factor). These are the graph's sources: the first layer of the Hasse
-// diagram.
-func (g *Graph) Skyline() []int {
-	n := len(g.Nodes)
-	dominated := make([]bool, n)
-	for _, out := range g.Out {
-		for _, u := range out {
-			dominated[u] = true
-		}
-	}
-	var sky []int
-	for v := 0; v < n; v++ {
-		if !dominated[v] {
-			sky = append(sky, v)
-		}
-	}
-	return sky
 }

@@ -6,61 +6,12 @@ import (
 
 	"github.com/deepeye/deepeye/internal/pool"
 	"github.com/deepeye/deepeye/internal/rangetree"
-	"github.com/deepeye/deepeye/internal/vizql"
 )
 
-// parMinNodes is the candidate count below which the parallel builders
-// fall back to the serial path: a graph this small builds in less time
-// than spawning workers costs.
+// parMinNodes is the candidate count below which BuildGraphCtx runs the
+// serial builders: a graph this small builds in less time than spawning
+// workers costs.
 const parMinNodes = 48
-
-// BuildGraphPar is BuildGraphParCtx without cancellation.
-func BuildGraphPar(nodes []*vizql.Node, factors []Factors, method BuildMethod, workers int) *Graph {
-	g, _ := BuildGraphParCtx(context.Background(), nodes, factors, method, workers)
-	return g
-}
-
-// BuildGraphParCtx builds the dominance graph across a bounded worker
-// pool. Workers follows pool.Normalize semantics (0/1 serial, negative =
-// GOMAXPROCS); the serial path is the literal BuildGraphCtx, kept
-// reachable as the differential-testing oracle.
-//
-// The parallel build is bit-identical to the serial one — edge sets,
-// weights, Scores, NumEdges, and Comparisons all match exactly (the
-// differential suite asserts it). Determinism holds because every
-// strategy writes edges only into rows its task owns (or buffers them
-// and merges in task index order), edge weights are pure functions of
-// the factor pair, per-row edge order is normalized by sortEdges (every
-// row's targets are unique), and comparison counts are integer sums of
-// per-task counts whose multiset is scheduling-independent.
-func BuildGraphParCtx(ctx context.Context, nodes []*vizql.Node, factors []Factors, method BuildMethod, workers int) (*Graph, error) {
-	w := pool.Normalize(workers)
-	if w == 1 || len(nodes) < parMinNodes {
-		return BuildGraphCtx(ctx, nodes, factors, method)
-	}
-	g := &Graph{
-		Nodes:   nodes,
-		Factors: factors,
-		Out:     make([][]int32, len(nodes)),
-		OutW:    make([][]float64, len(nodes)),
-	}
-	var err error
-	switch method {
-	case BuildQuickSort:
-		err = g.buildPartitionPar(ctx, w)
-	case BuildRangeTree:
-		err = g.buildRangeTreePar(ctx, w)
-	default:
-		err = g.buildNaivePar(ctx, w)
-	}
-	if err != nil {
-		return nil, err
-	}
-	for i := range g.Out {
-		sortEdges(g.Out[i], g.OutW[i])
-	}
-	return g, nil
-}
 
 // pairEdge is one dominance edge discovered by a naive-build worker,
 // buffered until the deterministic merge.
@@ -213,9 +164,6 @@ func (g *Graph) buildPartitionPar(ctx context.Context, workers int) error {
 	p.run(idx)
 	p.grp.Wait()
 	g.comparisons = int(p.comparisons.Load())
-	if p.cancelled.Load() {
-		return ctx.Err()
-	}
 	return ctx.Err()
 }
 

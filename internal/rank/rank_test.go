@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -43,7 +44,28 @@ func flightNodes(t *testing.T) []*vizql.Node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return vizql.ExecuteAll(tab, rules.EnumerateQueries(tab))
+	qs, err := rules.EnumerateQueriesCtx(context.Background(), tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, err := vizql.ExecuteAllParallelCtx(context.Background(), tab, qs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nodes
+}
+
+// computeFactors runs ComputeFactorsWorkersCtx serially with default
+// options.
+func computeFactors(nodes []*vizql.Node) []Factors {
+	fs, _ := ComputeFactorsWorkersCtx(context.Background(), nodes, FactorOptions{}, 1)
+	return fs
+}
+
+// buildGraph runs BuildGraphCtx without cancellation.
+func buildGraph(nodes []*vizql.Node, fs []Factors, method BuildMethod, workers int) *Graph {
+	g, _ := BuildGraphCtx(context.Background(), nodes, fs, method, workers)
+	return g
 }
 
 func mustNode(t *testing.T, tab *dataset.Table, src string) *vizql.Node {
@@ -61,7 +83,7 @@ func mustNode(t *testing.T, tab *dataset.Table, src string) *vizql.Node {
 
 func TestFactorsInRange(t *testing.T) {
 	nodes := flightNodes(t)
-	fs := ComputeFactors(nodes, FactorOptions{})
+	fs := computeFactors(nodes)
 	if len(fs) != len(nodes) {
 		t.Fatalf("factors = %d, nodes = %d", len(fs), len(nodes))
 	}
@@ -186,10 +208,10 @@ func TestEdgeWeight(t *testing.T) {
 
 func TestBuildersProduceIdenticalGraphs(t *testing.T) {
 	nodes := flightNodes(t)
-	fs := ComputeFactors(nodes, FactorOptions{})
-	naive := BuildGraph(nodes, fs, BuildNaive)
-	qs := BuildGraph(nodes, fs, BuildQuickSort)
-	rt := BuildGraph(nodes, fs, BuildRangeTree)
+	fs := computeFactors(nodes)
+	naive := buildGraph(nodes, fs, BuildNaive, 1)
+	qs := buildGraph(nodes, fs, BuildQuickSort, 1)
+	rt := buildGraph(nodes, fs, BuildRangeTree, 1)
 	if naive.NumEdges() != qs.NumEdges() || naive.NumEdges() != rt.NumEdges() {
 		t.Fatalf("edge counts differ: naive=%d quicksort=%d rangetree=%d",
 			naive.NumEdges(), qs.NumEdges(), rt.NumEdges())
@@ -208,8 +230,8 @@ func TestBuildersProduceIdenticalGraphs(t *testing.T) {
 
 func TestGraphIsAcyclic(t *testing.T) {
 	nodes := flightNodes(t)
-	fs := ComputeFactors(nodes, FactorOptions{})
-	g := BuildGraph(nodes, fs, BuildNaive)
+	fs := computeFactors(nodes)
+	g := buildGraph(nodes, fs, BuildNaive, 1)
 	// DFS cycle detection.
 	const (
 		white = 0
@@ -279,7 +301,7 @@ func TestScoresAccumulateAlongPaths(t *testing.T) {
 		{M: 0.5, Q: 0.5, W: 0.5},
 		{M: 0, Q: 0, W: 0},
 	}
-	g := BuildGraph(make([]*vizql.Node, 3), fs, BuildNaive)
+	g := buildGraph(make([]*vizql.Node, 3), fs, BuildNaive, 1)
 	s := g.Scores()
 	// 0 dominates 1 and 2; 1 dominates 2. S(2)=0, S(1)=w(1,2),
 	// S(0)=w(0,1)+S(1)+w(0,2)+S(2).
@@ -301,7 +323,7 @@ func TestTopologicalOrderRanksSourcesFirst(t *testing.T) {
 		{M: 0.5, Q: 0.5, W: 0.5},
 		{M: 0, Q: 0, W: 0},
 	}
-	g := BuildGraph(make([]*vizql.Node, 3), fs, BuildNaive)
+	g := buildGraph(make([]*vizql.Node, 3), fs, BuildNaive, 1)
 	order := g.TopologicalOrder()
 	if order[0] != 0 || order[2] != 2 {
 		t.Errorf("topological order = %v", order)
@@ -310,9 +332,9 @@ func TestTopologicalOrderRanksSourcesFirst(t *testing.T) {
 
 func TestQuickSortSavesComparisons(t *testing.T) {
 	nodes := flightNodes(t)
-	fs := ComputeFactors(nodes, FactorOptions{})
-	naive := BuildGraph(nodes, fs, BuildNaive)
-	qs := BuildGraph(nodes, fs, BuildQuickSort)
+	fs := computeFactors(nodes)
+	naive := buildGraph(nodes, fs, BuildNaive, 1)
+	qs := buildGraph(nodes, fs, BuildQuickSort, 1)
 	if qs.Comparisons() >= naive.Comparisons() {
 		t.Errorf("quicksort comparisons %d >= naive %d", qs.Comparisons(), naive.Comparisons())
 	}
@@ -334,9 +356,9 @@ func TestBuilderEquivalenceQuick(t *testing.T) {
 			}
 		}
 		nodes := make([]*vizql.Node, m)
-		a := BuildGraph(nodes, fs, BuildNaive)
-		b := BuildGraph(nodes, fs, BuildQuickSort)
-		c := BuildGraph(nodes, fs, BuildRangeTree)
+		a := buildGraph(nodes, fs, BuildNaive, 1)
+		b := buildGraph(nodes, fs, BuildQuickSort, 1)
+		c := buildGraph(nodes, fs, BuildRangeTree, 1)
 		for i := 0; i < m; i++ {
 			if len(a.Out[i]) != len(b.Out[i]) || len(a.Out[i]) != len(c.Out[i]) {
 				return false
@@ -363,7 +385,7 @@ func TestTopKPrefixQuick(t *testing.T) {
 		for i := range fs {
 			fs[i] = Factors{M: rng.Float64(), Q: rng.Float64(), W: rng.Float64()}
 		}
-		g := BuildGraph(make([]*vizql.Node, m), fs, BuildNaive)
+		g := buildGraph(make([]*vizql.Node, m), fs, BuildNaive, 1)
 		for k := 1; k < m; k++ {
 			a := g.TopK(k)
 			b := g.TopK(k + 1)
@@ -377,30 +399,5 @@ func TestTopKPrefixQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSkyline(t *testing.T) {
-	fs := []Factors{
-		{M: 1, Q: 0.2, W: 0.5},   // undominated (best M)
-		{M: 0.2, Q: 1, W: 0.5},   // undominated (best Q)
-		{M: 0.1, Q: 0.1, W: 0.1}, // dominated by both
-	}
-	g := BuildGraph(make([]*vizql.Node, 3), fs, BuildNaive)
-	sky := g.Skyline()
-	if len(sky) != 2 || sky[0] != 0 || sky[1] != 1 {
-		t.Errorf("skyline = %v, want [0 1]", sky)
-	}
-}
-
-func TestSkylineAllIncomparable(t *testing.T) {
-	fs := []Factors{
-		{M: 1, Q: 0, W: 0},
-		{M: 0, Q: 1, W: 0},
-		{M: 0, Q: 0, W: 1},
-	}
-	g := BuildGraph(make([]*vizql.Node, 3), fs, BuildNaive)
-	if len(g.Skyline()) != 3 {
-		t.Errorf("skyline = %v, want all 3", g.Skyline())
 	}
 }

@@ -98,7 +98,7 @@ func orInto(dst, src []uint64) {
 	}
 }
 
-// SelectOptions tunes Order.
+// SelectOptions tunes OrderCtx.
 type SelectOptions struct {
 	// MaxGraphNodes caps the number of candidates the dominance graph is
 	// built over; candidates beyond the cap (by factor sum) are appended
@@ -106,26 +106,21 @@ type SelectOptions struct {
 	MaxGraphNodes int
 	// Build selects the graph construction algorithm.
 	Build BuildMethod
-	// Workers fans the dominance-graph build across a bounded worker
-	// pool: 0 and 1 mean serial, negative means GOMAXPROCS. The parallel
-	// build is bit-identical to the serial one (the differential suite
-	// asserts it), so Workers never changes results — only wall time.
+	// Workers fans the dominance-graph build across at most this many
+	// goroutines (pool.Normalize: 0 and 1 run inline, negative means
+	// GOMAXPROCS). The parallel build is bit-identical to the serial one
+	// (the differential suite asserts it), so Workers never changes
+	// results — only wall time.
 	Workers int
 }
 
-// Order ranks a candidate set with the partial-order method end to end:
-// shortlist by factor sum, build the dominance graph, reduce it to the
-// Hasse diagram, compute the weight-aware scores S(v), and return the
-// best-first order together with per-node scores (0 for nodes outside
-// the shortlist).
-func Order(nodes []*vizql.Node, factors []Factors, opts SelectOptions) ([]int, []float64) {
-	order, scores, _ := OrderCtx(context.Background(), nodes, factors, opts)
-	return order, scores
-}
-
-// OrderCtx is Order with cancellation, threaded into the dominance-graph
-// construction (the only super-linear step); it returns ctx.Err() as
-// soon as the build observes cancellation.
+// OrderCtx ranks a candidate set with the partial-order method end to
+// end: shortlist by factor sum, build the dominance graph, reduce it to
+// the Hasse diagram, compute the weight-aware scores S(v), and return
+// the best-first order together with per-node scores (0 for nodes
+// outside the shortlist). Cancellation is threaded into the
+// dominance-graph construction (the only super-linear step), which
+// returns ctx.Err() as soon as it observes it.
 func OrderCtx(ctx context.Context, nodes []*vizql.Node, factors []Factors, opts SelectOptions) ([]int, []float64, error) {
 	maxN := opts.MaxGraphNodes
 	if maxN <= 0 {
@@ -151,7 +146,7 @@ func OrderCtx(ctx context.Context, nodes []*vizql.Node, factors []Factors, opts 
 		subNodes[k] = nodes[i]
 		subFactors[k] = factors[i]
 	}
-	built, err := BuildGraphParCtx(ctx, subNodes, subFactors, opts.Build, opts.Workers)
+	built, err := BuildGraphCtx(ctx, subNodes, subFactors, opts.Build, opts.Workers)
 	if err != nil {
 		return nil, nil, err
 	}

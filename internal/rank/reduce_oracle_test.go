@@ -128,7 +128,7 @@ func TestReduceMatchesGreedyOracle(t *testing.T) {
 		nodes := make([]*vizql.Node, n)
 		for _, m := range []BuildMethod{BuildNaive, BuildQuickSort, BuildRangeTree} {
 			for _, workers := range []int{1, 4} {
-				g, err := BuildGraphParCtx(context.Background(), nodes, fs, m, workers)
+				g, err := BuildGraphCtx(context.Background(), nodes, fs, m, workers)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -21,7 +22,7 @@ func TestReduceChain(t *testing.T) {
 	// A strict chain: closure has n(n-1)/2 edges, Hasse has n-1.
 	n := 12
 	fs := chainFactors(n)
-	g := BuildGraph(make([]*vizql.Node, n), fs, BuildNaive)
+	g := buildGraph(make([]*vizql.Node, n), fs, BuildNaive, 1)
 	if g.NumEdges() != n*(n-1)/2 {
 		t.Fatalf("closure edges = %d", g.NumEdges())
 	}
@@ -42,7 +43,7 @@ func TestReduceScoresStayBounded(t *testing.T) {
 	// exponentially; on the Hasse diagram it grows linearly.
 	n := 60
 	fs := chainFactors(n)
-	g := BuildGraph(make([]*vizql.Node, n), fs, BuildNaive)
+	g := buildGraph(make([]*vizql.Node, n), fs, BuildNaive, 1)
 	h := g.Reduce()
 	s := h.Scores()
 	if s[0] > float64(n) {
@@ -65,7 +66,7 @@ func TestReducePreservesReachability(t *testing.T) {
 			W: float64(rng.Intn(5)) / 4,
 		}
 	}
-	g := BuildGraph(make([]*vizql.Node, n), fs, BuildNaive)
+	g := buildGraph(make([]*vizql.Node, n), fs, BuildNaive, 1)
 	h := g.Reduce()
 	reachOf := func(gr *Graph, v int) map[int]bool {
 		seen := map[int]bool{}
@@ -106,7 +107,7 @@ func TestReduceMinimality(t *testing.T) {
 		{M: 0.6, Q: 0.7, W: 0.5}, // incomparable with 1
 		{M: 0.2, Q: 0.2, W: 0.2},
 	}
-	g := BuildGraph(make([]*vizql.Node, 4), fs, BuildNaive).Reduce()
+	g := buildGraph(make([]*vizql.Node, 4), fs, BuildNaive, 1).Reduce()
 	// 0 covers 1 and 2; 1 and 2 cover 3; 0→3 must be gone.
 	for _, u := range g.Out[0] {
 		if u == 3 {
@@ -126,7 +127,7 @@ func TestOrderShortlist(t *testing.T) {
 		fs[i] = Factors{M: rng.Float64(), Q: rng.Float64(), W: rng.Float64()}
 	}
 	nodes := make([]*vizql.Node, n)
-	order, scores := Order(nodes, fs, SelectOptions{MaxGraphNodes: 10})
+	order, scores, _ := OrderCtx(context.Background(), nodes, fs, SelectOptions{MaxGraphNodes: 10})
 	if len(order) != n {
 		t.Fatalf("order length = %d", len(order))
 	}
@@ -159,7 +160,7 @@ func TestReduceQuick(t *testing.T) {
 				W: float64(rng.Intn(4)) / 3,
 			}
 		}
-		g := BuildGraph(make([]*vizql.Node, n), fs, BuildNaive)
+		g := buildGraph(make([]*vizql.Node, n), fs, BuildNaive, 1)
 		h := g.Reduce()
 		if h.NumEdges() > g.NumEdges() {
 			return false

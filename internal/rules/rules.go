@@ -117,23 +117,16 @@ func xOutType(in dataset.ColType, kind transform.Kind) dataset.ColType {
 	}
 }
 
-// EnumerateQueries generates the rule-pruned candidate set — the "R"
-// configuration of Fig. 12. It walks every ordered column pair (and every
-// single column for one-column histograms), applies the transformation
-// rules, the sorting rules, and the visualization rules, and emits only
-// candidates all three families accept.
+// EnumerateQueriesCtx generates the rule-pruned candidate set — the "R"
+// configuration of Fig. 12. It walks every ordered column pair (and
+// every single column for one-column histograms), applies the
+// transformation rules, the sorting rules, and the visualization rules,
+// and emits only candidates all three families accept.
 //
 // Correlation gating for scatter requires data, not just types; the
-// enumerator estimates c(X, Y) on the raw columns once per pair.
-func EnumerateQueries(t *dataset.Table) []vizql.Query {
-	out, _ := EnumerateQueriesCtx(context.Background(), t)
-	return out
-}
-
-// EnumerateQueriesCtx is EnumerateQueries with cancellation: ctx is
-// checked once per ordered column pair (each pair may sample the raw
-// columns for the correlation gate), returning ctx.Err() promptly on
-// wide tables.
+// enumerator estimates c(X, Y) on the raw columns once per pair. ctx is
+// checked once per ordered column pair, so wide tables return ctx.Err()
+// promptly.
 func EnumerateQueriesCtx(ctx context.Context, t *dataset.Table) ([]vizql.Query, error) {
 	var out []vizql.Query
 	for i, x := range t.Columns {
@@ -235,72 +228,4 @@ func rawCorrelated(x, y *dataset.Column) bool {
 	}
 	c, _ := stats.Correlation(xs, ys)
 	return c >= CorrelationThreshold
-}
-
-// Accepts reports whether a single query conforms to all three rule
-// families — the rule-based analogue of the ML recognizer, used both to
-// filter externally supplied queries and in tests of enumerator
-// completeness.
-func Accepts(t *dataset.Table, q vizql.Query) bool {
-	x := t.Column(q.X)
-	y := t.Column(q.Y)
-	if x == nil || y == nil {
-		return false
-	}
-	// Transformation rules.
-	okSpec := false
-	for _, s := range TransformSpecs(x.Type, y.Type) {
-		if sameSpec(s, q.Spec) {
-			okSpec = true
-			break
-		}
-	}
-	if !okSpec {
-		return false
-	}
-	if q.X == q.Y && q.Spec.Agg != transform.AggCnt {
-		return false
-	}
-	xo := xOutType(x.Type, q.Spec.Kind)
-	// Visualization rules.
-	correlated := x.Type == dataset.Numerical && y.Type == dataset.Numerical && rawCorrelated(x, y)
-	okType := false
-	for _, typ := range ChartTypes(xo, correlated) {
-		if typ == q.Viz {
-			okType = true
-			break
-		}
-	}
-	if !okType {
-		return false
-	}
-	if q.Spec.Kind == transform.KindNone && q.Viz == chart.Bar {
-		return false
-	}
-	if q.Spec.Kind != transform.KindNone && q.Viz == chart.Scatter {
-		return false
-	}
-	// Sorting rules.
-	for _, axis := range SortAxes(xo) {
-		if axis == q.Order {
-			return true
-		}
-	}
-	return false
-}
-
-func sameSpec(a, b transform.Spec) bool {
-	if a.Kind != b.Kind || a.Agg != b.Agg {
-		return false
-	}
-	switch a.Kind {
-	case transform.KindBinUnit:
-		return a.Unit == b.Unit
-	case transform.KindBinCount:
-		return a.N == b.N
-	case transform.KindBinUDF:
-		return a.UDF == b.UDF
-	default:
-		return true
-	}
 }

@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -112,7 +113,7 @@ func TestChartTypes(t *testing.T) {
 
 func TestEnumerateQueriesAllExecutable(t *testing.T) {
 	tab := mixedTable(t)
-	qs := EnumerateQueries(tab)
+	qs := enumerate(t, tab)
 	if len(qs) == 0 {
 		t.Fatal("no candidates")
 	}
@@ -128,7 +129,7 @@ func TestEnumerateQueriesAllExecutable(t *testing.T) {
 
 func TestEnumerateSmallerThanExhaustive(t *testing.T) {
 	tab := mixedTable(t)
-	ruleQs := EnumerateQueries(tab)
+	ruleQs := enumerate(t, tab)
 	fullQs := vizql.EnumerateQueries(tab)
 	if len(ruleQs) >= len(fullQs) {
 		t.Errorf("rules should prune: %d vs %d", len(ruleQs), len(fullQs))
@@ -137,7 +138,7 @@ func TestEnumerateSmallerThanExhaustive(t *testing.T) {
 
 func TestScatterGatedOnCorrelation(t *testing.T) {
 	tab := mixedTable(t)
-	qs := EnumerateQueries(tab)
+	qs := enumerate(t, tab)
 	sawCorrelatedScatter := false
 	for _, q := range qs {
 		if q.Viz != chart.Scatter {
@@ -157,7 +158,7 @@ func TestScatterGatedOnCorrelation(t *testing.T) {
 
 func TestTemporalOnlyLineCharts(t *testing.T) {
 	tab := mixedTable(t)
-	for _, q := range EnumerateQueries(tab) {
+	for _, q := range enumerate(t, tab) {
 		if q.X == "when" && q.Spec.Kind == transform.KindBinUnit && q.Viz != chart.Line {
 			t.Errorf("temporal x must draw line, got %v (%s)", q.Viz, q.Key())
 		}
@@ -167,7 +168,7 @@ func TestTemporalOnlyLineCharts(t *testing.T) {
 func TestAcceptsAgreesWithEnumerator(t *testing.T) {
 	tab := mixedTable(t)
 	accepted := make(map[string]bool)
-	for _, q := range EnumerateQueries(tab) {
+	for _, q := range enumerate(t, tab) {
 		accepted[q.Key()] = true
 		if !Accepts(tab, q) {
 			t.Fatalf("enumerated query rejected by Accepts: %s", q.Key())
@@ -215,5 +216,81 @@ func TestOneColumnQueriesAreHistograms(t *testing.T) {
 		if _, err := vizql.Execute(tab, q); err != nil {
 			t.Errorf("one-column query failed: %s: %v", q.Key(), err)
 		}
+	}
+}
+
+func enumerate(t *testing.T, tab *dataset.Table) []vizql.Query {
+	t.Helper()
+	qs, err := EnumerateQueriesCtx(context.Background(), tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return qs
+}
+
+// Accepts reports whether a single query conforms to all three rule
+// families — the rule-based analogue of the ML recognizer, and the
+// oracle of the enumerator's completeness (§V-C).
+func Accepts(t *dataset.Table, q vizql.Query) bool {
+	x := t.Column(q.X)
+	y := t.Column(q.Y)
+	if x == nil || y == nil {
+		return false
+	}
+	// Transformation rules.
+	okSpec := false
+	for _, s := range TransformSpecs(x.Type, y.Type) {
+		if sameSpec(s, q.Spec) {
+			okSpec = true
+			break
+		}
+	}
+	if !okSpec {
+		return false
+	}
+	if q.X == q.Y && q.Spec.Agg != transform.AggCnt {
+		return false
+	}
+	xo := xOutType(x.Type, q.Spec.Kind)
+	// Visualization rules.
+	correlated := x.Type == dataset.Numerical && y.Type == dataset.Numerical && rawCorrelated(x, y)
+	okType := false
+	for _, typ := range ChartTypes(xo, correlated) {
+		if typ == q.Viz {
+			okType = true
+			break
+		}
+	}
+	if !okType {
+		return false
+	}
+	if q.Spec.Kind == transform.KindNone && q.Viz == chart.Bar {
+		return false
+	}
+	if q.Spec.Kind != transform.KindNone && q.Viz == chart.Scatter {
+		return false
+	}
+	// Sorting rules.
+	for _, axis := range SortAxes(xo) {
+		if axis == q.Order {
+			return true
+		}
+	}
+	return false
+}
+
+func sameSpec(a, b transform.Spec) bool {
+	if a.Kind != b.Kind || a.Agg != b.Agg {
+		return false
+	}
+	switch a.Kind {
+	case transform.KindBinUnit:
+		return a.Unit == b.Unit
+	case transform.KindBinCount:
+		return a.N == b.N
+	case transform.KindBinUDF:
+		return a.UDF == b.UDF
+	default:
+		return true
 	}
 }

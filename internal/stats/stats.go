@@ -38,9 +38,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Pearson returns the Pearson correlation coefficient of the paired
 // samples, in [-1, 1]. It returns 0 when either series is constant or the
 // inputs are shorter than 2.

@@ -62,7 +62,7 @@ func checkCountSharing(t *testing.T, tab *dataset.Table) {
 		}
 	}
 	qs = append(qs, unknownY)
-	nodes := ExecuteAll(tab, qs)
+	nodes := executeAll(tab, qs, 1)
 
 	type sibling struct {
 		x    string

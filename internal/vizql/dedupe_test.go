@@ -102,6 +102,9 @@ func TestDedupeKeyMatchesFormattedBody(t *testing.T) {
 	textKey := make(map[string]uint64)
 	paths := make(map[string]int) // bit 0: a value took roundSig's bits, bit 1: its parsed text
 	for _, v := range vs {
+		if !math.IsNaN(v) && math.IsNaN(roundSig(v)) {
+			t.Fatalf("roundSig(%v) (bits %#x) is NaN", v, math.Float64bits(v))
+		}
 		k, s := valueKey(v), textOf(v)
 		if prev, ok := keyText[k]; ok && prev != s {
 			t.Fatalf("value %v (bits %#x): key %#x is shared by texts %q and %q", v, math.Float64bits(v), k, prev, s)

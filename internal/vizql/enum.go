@@ -13,6 +13,7 @@ import (
 	"github.com/deepeye/deepeye/internal/chart"
 	"github.com/deepeye/deepeye/internal/dataset"
 	"github.com/deepeye/deepeye/internal/feature"
+	"github.com/deepeye/deepeye/internal/pool"
 	"github.com/deepeye/deepeye/internal/stats"
 	"github.com/deepeye/deepeye/internal/transform"
 )
@@ -117,34 +118,68 @@ func EnumerateOneColumnQueries(t *dataset.Table) []Query {
 	return out
 }
 
-// ExecuteAll materializes a batch of queries, silently dropping the ones
-// that cannot execute (type-incompatible transforms, empty output). A
-// transform cache keyed on (X, Y, spec, sort) is shared across chart
-// types, so the four chart variants of one transform cost a single pass
-// over the data — the first optimization of §V-B.
-func ExecuteAll(t *dataset.Table, queries []Query) []*Node {
-	out, _ := ExecuteAllCtx(context.Background(), t, queries)
-	return out
+// ExecuteAllParallelCtx materializes a batch of queries, silently
+// dropping the ones that cannot execute (type-incompatible transforms,
+// empty output), and returns the rest in query order. ctx is checked
+// between queries and between the passes over the data within one, and
+// ctx.Err() is returned as soon as cancellation is observed.
+//
+// Batch caches share work across queries — the first optimization of
+// §V-B. The bucketing cache keys on (X, kind, unit, N) — the Y-agnostic
+// half of a transform — so the bucket-formation pass over the rows runs
+// once per distinct X binning and is reused by every Y column,
+// aggregate, and sort order over it. The materialization cache keys on
+// (X, Y, spec, sort class) and holds the aggregated series plus its
+// derived statistics and feature inputs, so the chart-type variants of
+// one transform pay only a feature.Extract each. A bucketed count never
+// reads Y, so its entry drops Y from the key: every Y column shares one
+// count series, its order, its correlation and trend, and its Y′
+// summary, and each node keeps only its own Y name and type. ORDER BY X
+// folds into the unsorted class: transforms emit buckets already in X
+// order, and re-sorting stably under the same comparator is an identity.
+//
+// Every cache key starts with X, so splitting the batch by X column
+// loses no shared work. The paper calls selection "trivially
+// parallelizable" (§VI-D); this is the split that keeps the sharing.
+// Each X column's queries run as one pool task with its own caches and
+// write their nodes into their own slots, which are then compacted in
+// query order, so every worker count returns the same sequence. workers
+// follows pool.Normalize: 0 and 1 run the tasks inline.
+func ExecuteAllParallelCtx(ctx context.Context, t *dataset.Table, queries []Query, workers int) ([]*Node, error) {
+	var xs []string
+	byX := make(map[string][]int)
+	for i, q := range queries {
+		if _, ok := byX[q.X]; !ok {
+			xs = append(xs, q.X)
+		}
+		byX[q.X] = append(byX[q.X], i)
+	}
+	slots := make([]*Node, len(queries))
+	err := pool.ForEachBlock(ctx, "vizql_execute", workers, len(xs), 1, func(lo, hi int) error {
+		for _, x := range xs[lo:hi] {
+			if err := executeInto(ctx, t, queries, byX[x], slots); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := slots[:0]
+	for _, n := range slots {
+		if n != nil {
+			out = append(out, n)
+		}
+	}
+	clear(slots[len(out):])
+	return out, nil
 }
 
-// ExecuteAllCtx is ExecuteAll with cancellation: the batch loop checks
-// ctx between queries (each query is at most one pass over the data) and
-// returns ctx.Err() as soon as cancellation is observed.
-//
-// Two cache layers share work across the batch. The bucketing cache
-// keys on (X, kind, unit, N) — the Y-agnostic half of a transform — so
-// the bucket-formation pass over the rows runs once per distinct X
-// binning and is reused by every Y column, aggregate, and sort order
-// over it. The materialization cache keys on (X, Y, spec, sort class)
-// and holds the aggregated series plus its derived statistics and
-// feature inputs, so the chart-type variants of one transform pay only
-// a feature.Extract each. A bucketed count never reads Y, so its entry
-// drops Y from the key: every Y column shares one count series, its
-// order, its correlation and trend, and its Y′ summary, and each node
-// keeps only its own Y name and type. ORDER BY X folds into the
-// unsorted class: transforms emit buckets already in X order, and
-// re-sorting stably under the same comparator is an identity.
-func ExecuteAllCtx(ctx context.Context, t *dataset.Table, queries []Query) ([]*Node, error) {
+// executeInto executes queries[i] for each i in idx, in order, against
+// one set of batch caches, and writes each node into slots[i] (left nil
+// when the query is dropped).
+func executeInto(ctx context.Context, t *dataset.Table, queries []Query, idx []int, slots []*Node) error {
 	caches := &execCaches{
 		bk:          make(map[bucketingKey]*transform.Bucketing),
 		raw:         make(map[[2]string]*transform.Result),
@@ -152,14 +187,14 @@ func ExecuteAllCtx(ctx context.Context, t *dataset.Table, queries []Query) ([]*N
 		bkDistinct:  make(map[distinctKey]int),
 		base:        make(map[baseKey]*transform.Result),
 		yi:          make(map[*transform.Result]feature.ColumnInfo),
+		exec:        make(map[execKey]*sharedExec),
 	}
-	cache := make(map[execKey]*sharedExec)
-	var out []*Node
-	for _, q := range queries {
+	for _, i := range idx {
+		q := queries[i]
 		// A cache miss costs a full pass over the data, so check before
 		// every query to keep cancellation latency within one pass.
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		// Decorated queries (WHERE/DESC/LIMIT) change the row set or the
 		// bucket order, so nothing about their materialization can share
@@ -170,11 +205,11 @@ func ExecuteAllCtx(ctx context.Context, t *dataset.Table, queries []Query) ([]*N
 			n, err := ExecuteCtx(ctx, t, q)
 			if err != nil {
 				if ctx.Err() != nil {
-					return nil, ctx.Err()
+					return ctx.Err()
 				}
 				continue
 			}
-			out = append(out, n)
+			slots[i] = n
 			continue
 		}
 		// The Y column is looked up per query, not per cache entry: a
@@ -191,10 +226,13 @@ func ExecuteAllCtx(ctx context.Context, t *dataset.Table, queries []Query) ([]*N
 		if countsOnly(q.Spec) {
 			key.base.y = "" // the same series for every Y column
 		}
-		cv := cache[key]
+		cv := caches.exec[key]
 		if cv == nil {
-			cv = executeShared(t, q, key.base, sc, caches)
-			cache[key] = cv
+			cv = executeShared(ctx, t, q, key.base, sc, caches)
+			if err := ctx.Err(); err != nil {
+				return err // cv may be cut short, so it is not cached
+			}
+			caches.exec[key] = cv
 		}
 		if !cv.ok {
 			continue
@@ -212,9 +250,9 @@ func ExecuteAllCtx(ctx context.Context, t *dataset.Table, queries []Query) ([]*N
 			distinctX: cv.xi.Distinct,
 		}
 		n.Features = feature.Extract(cv.xi, cv.yi, cv.corr, n.Chart)
-		out = append(out, n)
+		slots[i] = n
 	}
-	return out, nil
+	return nil
 }
 
 // specKey is the comparable form of a transform.Spec. It holds the
@@ -279,10 +317,10 @@ type sharedExec struct {
 	ok        bool
 }
 
-// execCaches bundles the batch-scoped shared state: the Y-agnostic
-// bucketings, the per-pair raw materializations, and the raw label
-// distinct counts (order-invariant, so the three sort classes of one
-// pair share one count).
+// execCaches bundles the state one X column's queries share: the
+// Y-agnostic bucketings, the per-pair raw materializations, the raw
+// label distinct counts (order-invariant, so the three sort classes of
+// one pair share one count), and the materializations themselves.
 type execCaches struct {
 	bk          map[bucketingKey]*transform.Bucketing
 	raw         map[[2]string]*transform.Result
@@ -290,6 +328,7 @@ type execCaches struct {
 	bkDistinct  map[distinctKey]int
 	base        map[baseKey]*transform.Result
 	yi          map[*transform.Result]feature.ColumnInfo
+	exec        map[execKey]*sharedExec
 }
 
 // baseKey identifies the row-order materialization of one (X, Y, spec)
@@ -315,8 +354,11 @@ type distinctKey struct {
 // shared bucketing for the query's X transform. Inexecutable queries —
 // unknown X, type-incompatible transforms, empty output — yield an
 // entry with ok == false, mirroring ExecuteCtx's error cases; the
-// caller has already dropped a query whose Y column is unknown.
-func executeShared(t *dataset.Table, q Query, bkey baseKey, sc transform.SortAxis, caches *execCaches) *sharedExec {
+// caller has already dropped a query whose Y column is unknown. Like
+// ExecuteCtx, it re-checks ctx between its passes over the result (a
+// raw pass-through's is the size of the table) and returns early, with
+// ok == false, once ctx is done.
+func executeShared(ctx context.Context, t *dataset.Table, q Query, bkey baseKey, sc transform.SortAxis, caches *execCaches) *sharedExec {
 	sr := &sharedExec{}
 	x := t.Column(q.X)
 	y := t.Column(q.Y)
@@ -382,7 +424,7 @@ func executeShared(t *dataset.Table, q Query, bkey baseKey, sc transform.SortAxi
 		}
 		res = r
 	}
-	if res.Len() == 0 {
+	if res.Len() == 0 || ctx.Err() != nil {
 		return sr
 	}
 	base := res
@@ -397,6 +439,9 @@ func executeShared(t *dataset.Table, q Query, bkey baseKey, sc transform.SortAxi
 			SourceRows: res.SourceRows, InputRows: res.InputRows,
 		}
 		transform.OrderBy(res, sc)
+		if ctx.Err() != nil {
+			return sr
+		}
 	}
 	sr.res = res
 	sr.xType = x.Type
@@ -435,6 +480,9 @@ func executeShared(t *dataset.Table, q Query, bkey baseKey, sc transform.SortAxi
 		sr.trendKind, sr.trendR2 = stats.TrendSeries(res.Y)
 		sr.xi = feature.ColumnInfo{Type: dataset.Categorical}
 	}
+	if ctx.Err() != nil {
+		return sr
+	}
 	sr.xi.N = res.Len()
 	// d(X′) counts distinct labels on every branch (FromSeries counted
 	// distinct order keys, not labels). The count is order-invariant, so
@@ -456,6 +504,9 @@ func executeShared(t *dataset.Table, q Query, bkey baseKey, sc transform.SortAxi
 			caches.bkDistinct[dk] = d
 		}
 		sr.xi.Distinct = d
+	}
+	if ctx.Err() != nil {
+		return sr
 	}
 	// The Y′ summary — min, max, N, distinct — is invariant under the
 	// sort-class permutation (distinct counting sorts its own copy), so
@@ -779,6 +830,12 @@ func roundSigNearest(v float64) (float64, bool) {
 		scale = pow10tab[i+350]
 	} else {
 		scale = math.Pow(10, e)
+	}
+	if math.IsInf(scale, 1) {
+		// Below about 1e-299 the scale overflows and Round(v·Inf)/Inf
+		// is NaN, so take the double nearest to v's own text instead.
+		w, _ := strconv.ParseFloat(strconv.FormatFloat(v, 'g', 9, 64), 64)
+		return w, false
 	}
 	return math.Round(v*scale) / scale, e >= 0 && e <= 22
 }

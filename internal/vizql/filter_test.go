@@ -173,7 +173,7 @@ func TestExecuteAllDecoratedBypass(t *testing.T) {
 	filtered := plain
 	filtered.Filters = []Filter{{Col: "carrier", Op: FilterNe, Str: "UA"}}
 
-	nodes, err := ExecuteAllCtx(context.Background(), tab, []Query{plain, filtered, plain})
+	nodes, err := ExecuteAllParallelCtx(context.Background(), tab, []Query{plain, filtered, plain}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

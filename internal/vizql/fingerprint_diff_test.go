@@ -63,7 +63,7 @@ func TestDataFingerprintMatchesFmt(t *testing.T) {
 
 	// Real enumeration output for a mixed categorical/temporal/numerical table.
 	tab := flightTable(t, 60)
-	nodes = append(nodes, ExecuteAll(tab, EnumerateQueries(tab))...)
+	nodes = append(nodes, executeAll(tab, EnumerateQueries(tab), 1)...)
 
 	for i, n := range nodes {
 		if got, want := dataFingerprint(n), fmtDataFingerprint(n); got != want {

@@ -1,6 +1,7 @@
 package vizql
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -338,7 +339,7 @@ func TestSearchSpaceMultiY(t *testing.T) {
 func TestExecuteAllSharesTransforms(t *testing.T) {
 	tab := flightTable(t, 400)
 	qs := EnumerateQueries(tab)
-	nodes := ExecuteAll(tab, qs)
+	nodes := executeAll(tab, qs, 1)
 	if len(nodes) == 0 {
 		t.Fatal("no executable nodes")
 	}
@@ -359,14 +360,14 @@ func TestExecuteAllSharesTransforms(t *testing.T) {
 		}
 	}
 	if count != len(nodes) {
-		t.Errorf("ExecuteAll = %d nodes, individual = %d", len(nodes), count)
+		t.Errorf("batch = %d nodes, individual = %d", len(nodes), count)
 	}
 }
 
 func TestExecuteAllConsistentWithExecute(t *testing.T) {
 	tab := flightTable(t, 200)
 	qs := EnumerateQueries(tab)[:2000]
-	nodes := ExecuteAll(tab, qs)
+	nodes := executeAll(tab, qs, 1)
 	byKey := make(map[string]*Node)
 	for _, n := range nodes {
 		byKey[n.Query.Key()] = n
@@ -430,36 +431,20 @@ func TestQueryStringRoundTripQuick(t *testing.T) {
 	}
 }
 
-func TestExecuteAllParallelMatchesSequential(t *testing.T) {
-	tab := flightTable(t, 400)
-	qs := EnumerateQueries(tab)
-	seq := ExecuteAll(tab, qs)
-	par := ExecuteAllParallel(tab, qs, 4)
-	if len(seq) != len(par) {
-		t.Fatalf("lengths differ: %d vs %d", len(seq), len(par))
-	}
-	seqKeys := make(map[string]int)
-	for _, n := range seq {
-		seqKeys[n.Query.Key()]++
-	}
-	for _, n := range par {
-		seqKeys[n.Query.Key()]--
-	}
-	for k, v := range seqKeys {
-		if v != 0 {
-			t.Fatalf("multiset mismatch at %s (%+d)", k, v)
-		}
-	}
-}
-
 func TestExecuteAllParallelSmallBatchFallsBack(t *testing.T) {
 	tab := flightTable(t, 50)
 	q, err := Parse("VISUALIZE bar SELECT carrier, CNT(carrier) FROM flights GROUP BY carrier", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := ExecuteAllParallel(tab, []Query{q, q, q}, 8)
+	out := executeAll(tab, []Query{q, q, q}, 8)
 	if len(out) != 3 {
 		t.Fatalf("nodes = %d, want 3", len(out))
 	}
+}
+
+// executeAll runs the batch executor with the given worker count.
+func executeAll(tab *dataset.Table, qs []Query, workers int) []*Node {
+	nodes, _ := ExecuteAllParallelCtx(context.Background(), tab, qs, workers)
+	return nodes
 }

@@ -3,19 +3,8 @@ package wal
 // Replication-stream codec: the cluster layer ships the exact framed
 // bytes the WAL writes ([len u32][crc32c u32][payload]), concatenated,
 // so followers decode peer traffic with the same torn/corrupt handling
-// as local replay. Exporting the reader here keeps the wire format in
+// as local replay. Exporting the decoder here keeps the wire format in
 // one package; internal/cluster holds no framing knowledge of its own.
-
-// ReadFramed decodes the framed record starting at off in b and
-// returns it with the offset of the next record. A short header, an
-// implausible length, a CRC mismatch, or an undecodable payload all
-// return ErrTorn with off unchanged — exactly the contract local
-// replay relies on, so a cut or corrupted replication stream can never
-// yield a record that a fresh encode would not reproduce byte for
-// byte.
-func ReadFramed(b []byte, off int64) (*Record, int64, error) {
-	return readFrame(b, off)
-}
 
 // DecodeAll decodes a complete stream of concatenated frames. It
 // returns the records decoded before the first error; err is nil only

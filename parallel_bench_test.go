@@ -42,8 +42,8 @@ func benchBuildGraphParallel(b *testing.B, method rank.BuildMethod, workers int)
 	nodes := make([]*vizql.Node, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := rank.BuildGraphPar(nodes, fs, method, workers)
-		if g == nil || len(g.Out) != n {
+		g, err := rank.BuildGraphCtx(context.Background(), nodes, fs, method, workers)
+		if err != nil || len(g.Out) != n {
 			b.Fatal("bad graph")
 		}
 	}

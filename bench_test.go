@@ -1,10 +1,10 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation (§VI), one testing.B benchmark per artifact, plus component
 // ablations for the design choices DESIGN.md calls out (graph builders,
-// rule pruning, progressive selection). Quality metrics (F1, NDCG,
-// coverage k) are attached to the benchmark output via ReportMetric, so
-// `go test -bench=. -benchmem` doubles as the experiment log;
-// EXPERIMENTS.md records the paper-vs-measured comparison.
+// rule pruning). Quality metrics (F1, NDCG, coverage k) are attached to
+// the benchmark output via ReportMetric, so `go test -bench=. -benchmem`
+// doubles as the experiment log; EXPERIMENTS.md records the
+// paper-vs-measured comparison.
 package deepeye_test
 
 import (
@@ -299,24 +299,10 @@ func BenchmarkEnumerationRules(b *testing.B) {
 	}
 }
 
-// BenchmarkProgressiveTopK vs BenchmarkGraphTopK isolates the §V-B
-// tournament against the full dominance-graph ranking.
-func BenchmarkProgressiveTopK(b *testing.B) {
-	tab, err := datagen.TestSet(2, 1.0) // X3: 23 columns
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys := deepeye.New(deepeye.Options{Progressive: true, IncludeOneColumn: true})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.TopK(tab, 5); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// BenchmarkGraphTopK times the full dominance-graph selection on a wide
+// table.
 func BenchmarkGraphTopK(b *testing.B) {
-	tab, err := datagen.TestSet(2, 1.0)
+	tab, err := datagen.TestSet(2, 1.0) // X3: 23 columns
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -11,7 +11,6 @@
 //	                                             # ranked interpretations with
 //	                                             # parse confidence and the
 //	                                             # ambiguities that were resolved
-//	deepeye -csv data.csv -k 5 -progressive      # tournament selector
 //	deepeye -csv data.csv -k 5 -exhaustive       # full Fig. 3 search space
 //	deepeye -csv day1.csv -append day2.csv,day3.csv -k 5
 //	                                             # live-registry ingestion demo:
@@ -38,25 +37,24 @@ import (
 
 func main() {
 	var (
-		csvPath     = flag.String("csv", "", "input CSV file (required)")
-		k           = flag.Int("k", 5, "number of visualizations to return")
-		query       = flag.String("query", "", "run one visualization-language query instead of top-k")
-		search      = flag.String("search", "", "keyword search, e.g. \"delay trend by hour\"")
-		ask         = flag.String("ask", "", "natural-language question, e.g. \"top 5 regions by total sales\"")
-		multi       = flag.Bool("multi", false, "suggest multi-series charts instead of single-series top-k")
-		profile     = flag.Bool("profile", false, "print the column profile and exit")
-		appendCSVs  = flag.String("append", "", "comma-separated CSV files (header row skipped) appended to the dataset via the live registry before ranking")
-		vegaDir     = flag.String("vega", "", "directory to write Vega-Lite specs into")
-		htmlPath    = flag.String("html", "", "write an HTML report of the results to this file")
-		jsonOut     = flag.Bool("json", false, "print results as JSON instead of ASCII charts")
-		progressive = flag.Bool("progressive", false, "use the progressive tournament selector")
-		exhaustive  = flag.Bool("exhaustive", false, "enumerate the full search space instead of rule-pruned candidates")
-		oneColumn   = flag.Bool("one-column", true, "include single-column histograms")
-		width       = flag.Int("width", 60, "ASCII chart width")
-		timeout     = flag.Duration("timeout", 0, "bound selection time; expired runs fail with a deadline error (0 = none)")
-		stats       = flag.Bool("stats", false, "print per-stage pipeline timings after the run")
-		workers     = flag.Int("workers", -1, "selection-pipeline worker count: 0 and 1 run inline, n > 1 uses at most n goroutines per stage, negative = GOMAXPROCS (results are identical either way)")
-		dataDir     = flag.String("data-dir", "", "durability directory for the -append live registry: datasets journaled there survive across runs (empty = in-memory only)")
+		csvPath    = flag.String("csv", "", "input CSV file (required)")
+		k          = flag.Int("k", 5, "number of visualizations to return")
+		query      = flag.String("query", "", "run one visualization-language query instead of top-k")
+		search     = flag.String("search", "", "keyword search, e.g. \"delay trend by hour\"")
+		ask        = flag.String("ask", "", "natural-language question, e.g. \"top 5 regions by total sales\"")
+		multi      = flag.Bool("multi", false, "suggest multi-series charts instead of single-series top-k")
+		profile    = flag.Bool("profile", false, "print the column profile and exit")
+		appendCSVs = flag.String("append", "", "comma-separated CSV files (header row skipped) appended to the dataset via the live registry before ranking")
+		vegaDir    = flag.String("vega", "", "directory to write Vega-Lite specs into")
+		htmlPath   = flag.String("html", "", "write an HTML report of the results to this file")
+		jsonOut    = flag.Bool("json", false, "print results as JSON instead of ASCII charts")
+		exhaustive = flag.Bool("exhaustive", false, "enumerate the full search space instead of rule-pruned candidates")
+		oneColumn  = flag.Bool("one-column", true, "include single-column histograms")
+		width      = flag.Int("width", 60, "ASCII chart width")
+		timeout    = flag.Duration("timeout", 0, "bound selection time; expired runs fail with a deadline error (0 = none)")
+		stats      = flag.Bool("stats", false, "print per-stage pipeline timings after the run")
+		workers    = flag.Int("workers", -1, "selection-pipeline worker count: 0 and 1 run inline, n > 1 uses at most n goroutines per stage, negative = GOMAXPROCS (results are identical either way)")
+		dataDir    = flag.String("data-dir", "", "durability directory for the -append live registry: datasets journaled there survive across runs (empty = in-memory only)")
 	)
 	flag.Parse()
 	if *csvPath == "" {
@@ -68,8 +66,7 @@ func main() {
 		csvPath: *csvPath, k: *k, query: *query, search: *search, ask: *ask,
 		appendCSVs: *appendCSVs, dataDir: *dataDir,
 		multi: *multi, profile: *profile, vegaDir: *vegaDir, htmlPath: *htmlPath,
-		jsonOut:     *jsonOut,
-		progressive: *progressive, exhaustive: *exhaustive,
+		jsonOut: *jsonOut, exhaustive: *exhaustive,
 		oneColumn: *oneColumn, width: *width,
 		timeout: *timeout,
 		workers: *workers,
@@ -99,13 +96,12 @@ func printStageStats() {
 }
 
 type runConfig struct {
-	csvPath, query, search, ask        string
-	vegaDir                            string
-	htmlPath, appendCSVs, dataDir      string
-	k, width, workers                  int
-	multi, profile, jsonOut            bool
-	progressive, exhaustive, oneColumn bool
-	timeout                            time.Duration
+	csvPath, query, search, ask                    string
+	vegaDir                                        string
+	htmlPath, appendCSVs, dataDir                  string
+	k, width, workers                              int
+	multi, profile, jsonOut, exhaustive, oneColumn bool
+	timeout                                        time.Duration
 }
 
 // ingestAppends registers tab as a live dataset, streams each CSV's
@@ -259,7 +255,6 @@ func run(cfg runConfig) error {
 	}
 
 	opts := deepeye.Options{
-		Progressive:      cfg.progressive,
 		IncludeOneColumn: cfg.oneColumn,
 		Workers:          cfg.workers,
 	}

@@ -49,7 +49,6 @@ func cancelCases() []cancelCase {
 	}
 	return []cancelCase{
 		{"TopKCtx", Options{IncludeOneColumn: true}, topk},
-		{"TopKCtx/progressive", Options{Progressive: true, IncludeOneColumn: true}, topk},
 		{"TopKCtx/parallel", Options{Workers: -1, IncludeOneColumn: true}, topk},
 		{"TopKCtx/rangetree", Options{GraphBuild: rank.BuildRangeTree}, topk},
 		{"SuggestMultiCtx", Options{}, func(ctx context.Context, sys *System, t *Table) error {
@@ -106,8 +105,8 @@ func TestMidFlightCancellation(t *testing.T) {
 			done := make(chan error, 1)
 			go func() { done <- c.call(ctx, New(c.opts), tab) }()
 			// Let the pipeline get going before pulling the plug. The
-			// uncancelled run takes hundreds of ms (progressive) to tens
-			// of seconds (full graph), so 50ms is safely mid-flight.
+			// uncancelled run takes seconds to tens of seconds, so 50ms
+			// is safely mid-flight.
 			time.Sleep(50 * time.Millisecond)
 			cancelled := time.Now()
 			cancel()

@@ -10,7 +10,7 @@
 //   - Visualization ranking — which of two charts is better?
 //     (LambdaMART learning-to-rank, expert partial orders, or a hybrid)
 //   - Visualization selection — the top-k charts for a dataset
-//     (dominance-graph scoring, rule pruning, a progressive tournament)
+//     (rule pruning, dominance-graph scoring)
 //
 // # Quick start
 //
@@ -43,7 +43,6 @@ import (
 	"github.com/deepeye/deepeye/internal/ml"
 	"github.com/deepeye/deepeye/internal/ml/lambdamart"
 	"github.com/deepeye/deepeye/internal/obs"
-	"github.com/deepeye/deepeye/internal/progressive"
 	"github.com/deepeye/deepeye/internal/rank"
 	"github.com/deepeye/deepeye/internal/registry"
 	"github.com/deepeye/deepeye/internal/rules"
@@ -122,10 +121,6 @@ const (
 type Options struct {
 	Enum   EnumMode
 	Method RankMethod
-	// Progressive uses the tournament selector of §V-B for partial-order
-	// selection instead of building the full dominance graph. Only
-	// applies when Method == MethodPartialOrder and Enum == EnumRules.
-	Progressive bool
 	// GraphBuild selects the dominance-graph construction algorithm.
 	GraphBuild rank.BuildMethod
 	// Factors tunes the partial-order factor computation.
@@ -138,10 +133,10 @@ type Options struct {
 	// Workers parallelizes the selection pipeline across a bounded worker
 	// pool (the paper notes the task is trivially parallelizable, §VI-D):
 	// candidate materialization (one X column per task), factor
-	// computation, dominance-graph construction, batch classifier/ranker
-	// inference, and the progressive selector's per-column passes. 0 and
-	// 1 run every stage inline on the caller's goroutine, n > 1 uses at
-	// most n goroutines per stage, and a negative count means GOMAXPROCS.
+	// computation, dominance-graph construction, and batch
+	// classifier/ranker inference. 0 and 1 run every stage inline on the
+	// caller's goroutine, n > 1 uses at most n goroutines per stage, and
+	// a negative count means GOMAXPROCS.
 	// Results are bit-identical for any worker count — the differential
 	// test suite asserts parallel == serial — so Workers trades wall time
 	// only, never output.
@@ -348,8 +343,8 @@ func (s *System) invalidateCache() {
 // result set); modelGen folds in the trained-model state.
 func (s *System) optionsKey() string {
 	o := s.opts
-	return fmt.Sprintf("%d|%d|%t|%d|%g|%d|%d|%t|%t|%g|%d",
-		o.Enum, o.Method, o.Progressive, o.GraphBuild,
+	return fmt.Sprintf("%d|%d|%d|%g|%d|%d|%t|%t|%g|%d",
+		o.Enum, o.Method, o.GraphBuild,
 		o.Factors.TrendThreshold, o.Factors.PieMaxSlices, o.Factors.BarMaxBars,
 		o.IncludeOneColumn, o.UseRecognizer, s.alpha, s.modelGen.Load())
 }
@@ -439,9 +434,9 @@ func (s *System) TopK(t *Table, k int) ([]*Visualization, error) {
 
 // TopKCtx is TopK with cancellation threaded through the whole
 // selection pipeline — candidate enumeration, materialization (including
-// the parallel worker fan-out), ranking, and the progressive tournament
-// all re-check ctx and return ctx.Err() promptly, so callers can bound
-// selection latency with context.WithTimeout.
+// the parallel worker fan-out), factor computation and dominance-graph
+// construction all re-check ctx and return ctx.Err() promptly, so
+// callers can bound selection latency with context.WithTimeout.
 //
 // With Options.CacheSize set, the result is memoized by (table
 // fingerprint, k, options) and concurrent identical calls coalesce onto
@@ -471,24 +466,6 @@ func (s *System) TopKCtx(ctx context.Context, t *Table, k int) ([]*Visualization
 
 // topKCompute is the uncached selection pipeline behind TopKCtx.
 func (s *System) topKCompute(ctx context.Context, t *Table, k int) ([]*Visualization, error) {
-	if s.opts.Progressive && s.opts.Method == MethodPartialOrder && s.opts.Enum == EnumRules && !s.opts.UseRecognizer {
-		stop := obs.StageTimer(obs.StageProgressive)
-		results, _, err := progressive.TopKCtx(ctx, t, k, progressive.Options{
-			Factors:          s.opts.Factors,
-			IncludeOneColumn: s.opts.IncludeOneColumn,
-			Workers:          s.opts.Workers,
-		})
-		stop()
-		if err != nil {
-			return nil, err
-		}
-		out := make([]*Visualization, len(results))
-		for i, r := range results {
-			out[i] = newVisualization(r.Node, r.Score, i+1)
-		}
-		return out, nil
-	}
-
 	nodes, ranking, err := s.rankedCandidatesCtx(ctx, t)
 	if err != nil {
 		return nil, err

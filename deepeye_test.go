@@ -66,17 +66,6 @@ func TestTopKPartialOrderUntrained(t *testing.T) {
 	}
 }
 
-func TestTopKProgressiveMode(t *testing.T) {
-	sys := New(Options{Progressive: true})
-	vs, err := sys.TopK(smallFlights(t), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vs) != 4 {
-		t.Fatalf("got %d", len(vs))
-	}
-}
-
 func TestTopKExhaustiveMode(t *testing.T) {
 	sys := New(Options{Enum: EnumExhaustive})
 	vs, err := sys.TopK(smallFlights(t), 3)
@@ -241,7 +230,7 @@ func TestFullScaleFlyDelaySmoke(t *testing.T) {
 		t.Skip("full-scale table")
 	}
 	// The paper's headline workflow on the full 99,527-row FlyDelay table:
-	// the progressive selector must return a first page in seconds.
+	// the served dominance-graph path must return a first page in seconds.
 	tab, err := datagen.TestSet(9, 1.0)
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +238,7 @@ func TestFullScaleFlyDelaySmoke(t *testing.T) {
 	if tab.NumRows() != 99527 {
 		t.Fatalf("rows = %d", tab.NumRows())
 	}
-	sys := New(Options{Progressive: true, IncludeOneColumn: true})
+	sys := New(Options{IncludeOneColumn: true})
 	start := time.Now()
 	vs, err := sys.TopK(tab, 6)
 	if err != nil {
@@ -259,7 +248,7 @@ func TestFullScaleFlyDelaySmoke(t *testing.T) {
 	if len(vs) != 6 {
 		t.Fatalf("got %d charts", len(vs))
 	}
-	t.Logf("full-scale progressive top-6 in %v", elapsed)
+	t.Logf("full-scale top-6 in %v", elapsed)
 	if elapsed > 60*time.Second {
 		t.Errorf("took %v, want seconds-scale", elapsed)
 	}

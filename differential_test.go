@@ -91,26 +91,6 @@ func TestDifferentialTopKWorkers(t *testing.T) {
 	}
 }
 
-// TestDifferentialProgressiveWorkers: the progressive tournament with
-// parallel per-column passes matches its serial oracle.
-func TestDifferentialProgressiveWorkers(t *testing.T) {
-	for _, tab := range diffTables(t) {
-		serial := New(Options{Progressive: true, IncludeOneColumn: true, Workers: 1})
-		want, err := serial.TopK(tab, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 8, -1} {
-			par := New(Options{Progressive: true, IncludeOneColumn: true, Workers: workers})
-			got, err := par.TopK(tab, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameVisualizations(t, want, got, "progressive")
-		}
-	}
-}
-
 // TestDifferentialRankWorkers: the explicit Rank entry point agrees
 // across worker counts on the same materialized candidate set.
 func TestDifferentialRankWorkers(t *testing.T) {
@@ -152,10 +132,6 @@ func TestDifferentialCancellation(t *testing.T) {
 		sys := New(Options{Workers: workers})
 		if _, err := sys.TopKCtx(ctx, tab, 5); !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-		prog := New(Options{Progressive: true, Workers: workers})
-		if _, err := prog.TopKCtx(ctx, tab, 5); !errors.Is(err, context.Canceled) {
-			t.Fatalf("progressive workers=%d: err = %v, want context.Canceled", workers, err)
 		}
 	}
 }

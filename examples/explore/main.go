@@ -1,8 +1,6 @@
-// Explore demonstrates the optimized selection paths on a wide table
-// (many columns → a large Fig. 3 search space): the progressive
-// tournament selector of §V-B against the full dominance-graph ranking,
-// with the work saved by rule pruning and bound pruning printed along
-// the way.
+// Explore demonstrates selection on a wide table (many columns → a
+// large Fig. 3 search space): the work saved by rule pruning, then the
+// dominance-graph top-5.
 package main
 
 import (
@@ -13,7 +11,6 @@ import (
 
 	deepeye "github.com/deepeye/deepeye"
 	"github.com/deepeye/deepeye/internal/datagen"
-	"github.com/deepeye/deepeye/internal/progressive"
 	"github.com/deepeye/deepeye/internal/rules"
 	"github.com/deepeye/deepeye/internal/vizql"
 )
@@ -48,30 +45,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	graphTime := time.Since(start)
-
-	// Progressive tournament (§V-B): same table, same k.
-	start = time.Now()
-	results, stats, err := progressive.TopKCtx(context.Background(), tab, 5, progressive.Options{IncludeOneColumn: true})
-	if err != nil {
-		log.Fatal(err)
-	}
-	progTime := time.Since(start)
-
-	fmt.Printf("\nfull graph ranking:       %v\n", graphTime.Round(time.Millisecond))
-	fmt.Printf("progressive tournament:   %v (materialized %d of %d specs, %.1f%% pruned)\n\n",
-		progTime.Round(time.Millisecond),
-		stats.SpecsMaterialized, stats.SpecsTotal,
-		100*(1-float64(stats.SpecsMaterialized)/float64(stats.SpecsTotal)))
+	fmt.Printf("full graph ranking:     %v\n\n", time.Since(start).Round(time.Millisecond))
 
 	fmt.Println("top-5 (dominance graph):")
 	for _, v := range topGraph {
 		fmt.Printf("  #%d %-7s %s vs %s\n", v.Rank, v.Chart, v.YName(), v.XName())
-	}
-	fmt.Println("\ntop-5 (progressive):")
-	for i, r := range results {
-		fmt.Printf("  #%d %-7s %s vs %s (score %.3f)\n",
-			i+1, r.Node.Chart, r.Node.YName, r.Node.XName, r.Score)
 	}
 	fmt.Println("\nbest chart, rendered:")
 	fmt.Println(topGraph[0].RenderASCIISize(60, 12))

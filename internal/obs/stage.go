@@ -10,13 +10,12 @@ const stageHelp = "Selection pipeline stage latency in seconds."
 
 // Pipeline stage names reported by the selection pipeline.
 const (
-	StageEnumerate   = "enumerate"   // candidate query generation
-	StageExecute     = "execute"     // candidate materialization
-	StageRank        = "rank"        // factor computation + dominance ranking
-	StageProgressive = "progressive" // tournament selection end to end
-	StageSuggest     = "suggest"     // multi-series suggestion end to end
-	StageAppend      = "append"      // live-dataset row ingestion (parse + stats + fingerprint)
-	StageSnapshot    = "snapshot"    // live-dataset epoch snapshot materialization
+	StageEnumerate = "enumerate" // candidate query generation
+	StageExecute   = "execute"   // candidate materialization
+	StageRank      = "rank"      // factor computation + dominance ranking
+	StageSuggest   = "suggest"   // multi-series suggestion end to end
+	StageAppend    = "append"    // live-dataset row ingestion (parse + stats + fingerprint)
+	StageSnapshot  = "snapshot"  // live-dataset epoch snapshot materialization
 )
 
 // ObserveStage records one stage duration into the Default registry.

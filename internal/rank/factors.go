@@ -51,14 +51,6 @@ func (o FactorOptions) withDefaults() FactorOptions {
 	return o
 }
 
-// RawM exposes the un-normalized matching quality (eq. 1–4) for callers
-// that score candidates outside a fixed candidate set (the progressive
-// selector); options are defaulted.
-func RawM(n *vizql.Node, o FactorOptions) float64 { return rawM(n, o.withDefaults()) }
-
-// RawQ exposes the un-normalized transformation quality (eq. 6).
-func RawQ(n *vizql.Node) float64 { return rawQ(n) }
-
 // rawM computes the un-normalized matching quality of eq. (1)–(4).
 func rawM(n *vizql.Node, o FactorOptions) float64 {
 	if n.Res == nil {

@@ -49,9 +49,9 @@ func FuzzRawQ(f *testing.F) {
 	f.Add(uint8(4), math.MinInt, uint8(1), true)
 	f.Fuzz(func(t *testing.T, chartByte uint8, inputRows int, resLen uint8, hasRes bool) {
 		n := degenerateNode(chartByte, inputRows, resLen, hasRes, 1, 0, 0)
-		q := RawQ(n)
+		q := rawQ(n)
 		if math.IsNaN(q) || q < 0 || q > 1 {
-			t.Fatalf("RawQ = %v out of [0,1] for inputRows=%d resLen=%d hasRes=%t", q, inputRows, resLen, hasRes)
+			t.Fatalf("rawQ = %v out of [0,1] for inputRows=%d resLen=%d hasRes=%t", q, inputRows, resLen, hasRes)
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"github.com/deepeye/deepeye/internal/pool"
 	"github.com/deepeye/deepeye/internal/rangetree"
@@ -89,12 +90,16 @@ func BuildGraphCtx(ctx context.Context, nodes []*vizql.Node, factors []Factors, 
 		Out:     make([][]int32, len(nodes)),
 		OutW:    make([][]float64, len(nodes)),
 	}
+	w := pool.Normalize(workers)
+	if len(nodes) < parMinNodes {
+		w = 1
+	}
 	var err error
-	switch w := pool.Normalize(workers); {
-	case w == 1 || len(nodes) < parMinNodes:
-		err = g.buildSerial(ctx, method)
+	switch {
 	case method == BuildQuickSort:
-		err = g.buildPartitionPar(ctx, w)
+		err = g.buildPartition(ctx, w)
+	case w == 1:
+		err = g.buildSerial(ctx, method)
 	case method == BuildRangeTree:
 		err = g.buildRangeTreePar(ctx, w)
 	default:
@@ -110,19 +115,13 @@ func BuildGraphCtx(ctx context.Context, nodes []*vizql.Node, factors []Factors, 
 	return g, nil
 }
 
-// buildSerial runs the selected builder on the caller's goroutine.
+// buildSerial runs the naive or range-tree builder on the caller's
+// goroutine.
 func (g *Graph) buildSerial(ctx context.Context, method BuildMethod) error {
 	g.ctx = ctx
-	switch method {
-	case BuildQuickSort:
-		idx := make([]int, len(g.Nodes))
-		for i := range idx {
-			idx[i] = i
-		}
-		g.buildPartition(idx)
-	case BuildRangeTree:
+	if method == BuildRangeTree {
 		g.buildRangeTree()
-	default:
+	} else {
 		g.buildNaive()
 	}
 	g.ctx = nil // construction done; drop the reference
@@ -196,19 +195,132 @@ func (g *Graph) buildNaive() {
 	}
 }
 
-// buildPartition is the quick-sort-style construction: pick a pivot,
+// partition is one quick-sort-style construction (§IV-C): pick a pivot,
 // split the rest into strictly-better B, strictly-worse W, ties E, and
 // incomparable I. Edges B×W follow by transitivity without comparisons;
 // B, W, I recurse; ties share the pivot's relationships.
-func (g *Graph) buildPartition(idx []int) {
-	if g.cancelled {
+//
+// The same routine serves every worker count. With grp nil (one worker)
+// the three sub-problems recurse inline on the caller's goroutine; with
+// a pool.Group they fan out as tasks, each counting its comparisons on
+// its own tally and flushing the count when it ends.
+//
+// The fan-out is race-free with no locks on the adjacency rows: every
+// edge build(idx) adds has its source in idx (partition edges source at
+// idx members or the pivot, transitivity edges at better ⊂ idx, tie
+// edges at better/equal ⊂ idx, cross edges at members of better, worse,
+// or incomp ⊂ idx); sibling recursions receive disjoint index sets; and
+// a parent finishes all of its own edge writes before spawning children,
+// so goroutine creation orders parent writes before child writes to the
+// same rows. It is deterministic because the recursion visits the same
+// pivots over the same sub-slices at any worker count, so the
+// comparison multiset — and therefore the edge set and the total count —
+// does not depend on scheduling; sortEdges normalizes row order
+// afterwards.
+type partition struct {
+	g           *Graph
+	ctx         context.Context
+	grp         *pool.Group // nil: recurse inline
+	comparisons atomic.Int64
+	cancelled   atomic.Bool
+}
+
+// partitionSpawnMin is the sub-problem size below which recursion stays
+// on the current task instead of spawning.
+const partitionSpawnMin = 32
+
+// buildPartition runs the quick-sort construction across at most
+// workers goroutines; one worker never starts a goroutine.
+func (g *Graph) buildPartition(ctx context.Context, workers int) error {
+	idx := make([]int, len(g.Nodes))
+	for i := range idx {
+		idx[i] = i
+	}
+	p := &partition{g: g, ctx: ctx}
+	if workers > 1 {
+		p.grp = pool.NewGroup("graph_quicksort", workers)
+	}
+	p.run(idx)
+	if p.grp != nil {
+		p.grp.Wait()
+	}
+	if p.cancelled.Load() {
+		return ctx.Err()
+	}
+	g.comparisons = int(p.comparisons.Load())
+	return nil
+}
+
+// tally is one task's comparison counter: it polls cancellation every
+// checkStride comparisons without contending on a shared counter, and
+// flushes its count once the task ends.
+type tally struct {
+	p     *partition
+	count int
+}
+
+// tick counts one comparison and reports whether construction should
+// stop. Every checkStride comparisons it polls ctx, and the flag the
+// poll sets stops every task of the build at its next poll.
+func (t *tally) tick() bool {
+	t.count++
+	return t.count%checkStride == 0 && t.poll()
+}
+
+// poll is split from tick so that tick stays small enough to inline.
+func (t *tally) poll() bool {
+	if t.p.ctx.Err() != nil {
+		t.p.cancelled.Store(true)
+	}
+	return t.p.cancelled.Load()
+}
+
+// run executes one task: build idx on a fresh tally.
+func (p *partition) run(idx []int) {
+	t := &tally{p: p}
+	p.build(idx, t)
+	p.comparisons.Add(int64(t.count))
+}
+
+// recurse continues into a sub-problem: inline without a group or when
+// it is too small to be worth a goroutine, otherwise as a group task
+// (which itself runs inline when every worker slot is busy).
+func (p *partition) recurse(idx []int, t *tally) {
+	if p.grp == nil || len(idx) < partitionSpawnMin {
+		p.build(idx, t)
 		return
 	}
+	p.grp.Go(func() { p.run(idx) })
+}
+
+// compare examines one unordered pair and adds the strict-dominance
+// edge if present; it reports whether construction should stop.
+func (p *partition) compare(i, j int, t *tally) bool {
+	if t.tick() {
+		return true
+	}
+	fi, fj := p.g.Factors[i], p.g.Factors[j]
+	switch {
+	case StrictlyDominates(fi, fj):
+		p.g.addEdge(i, j)
+	case StrictlyDominates(fj, fi):
+		p.g.addEdge(j, i)
+	}
+	return false
+}
+
+func (p *partition) build(idx []int, t *tally) {
+	if p.cancelled.Load() {
+		return
+	}
+	g := p.g
 	const cutoff = 8
 	if len(idx) <= cutoff {
 		for a := 0; a < len(idx); a++ {
 			for b := a + 1; b < len(idx); b++ {
-				g.compare(idx[a], idx[b])
+				if p.compare(idx[a], idx[b], t) {
+					return
+				}
 			}
 		}
 		return
@@ -220,7 +332,7 @@ func (g *Graph) buildPartition(idx []int) {
 		if i == pivot {
 			continue
 		}
-		if g.tick() {
+		if t.tick() {
 			return
 		}
 		fi := g.Factors[i]
@@ -257,17 +369,23 @@ func (g *Graph) buildPartition(idx []int) {
 	// Cross comparisons the partition cannot infer.
 	for _, u := range better {
 		for _, v := range incomp {
-			g.compare(u, v)
+			if p.compare(u, v, t) {
+				return
+			}
 		}
 	}
 	for _, u := range worse {
 		for _, v := range incomp {
-			g.compare(u, v)
+			if p.compare(u, v, t) {
+				return
+			}
 		}
 	}
-	g.buildPartition(better)
-	g.buildPartition(worse)
-	g.buildPartition(incomp)
+	// All of this task's edge writes are done; sub-problems may now run
+	// concurrently (they touch disjoint rows).
+	p.recurse(better, t)
+	p.recurse(worse, t)
+	p.recurse(incomp, t)
 }
 
 // buildRangeTree builds a 3-d tree over (M, Q, W) and, for each node,

@@ -2,7 +2,6 @@ package rank
 
 import (
 	"context"
-	"sync/atomic"
 
 	"github.com/deepeye/deepeye/internal/pool"
 	"github.com/deepeye/deepeye/internal/rangetree"
@@ -124,186 +123,4 @@ func (g *Graph) buildRangeTreePar(ctx context.Context, workers int) error {
 		g.comparisons += c
 	}
 	return nil
-}
-
-// partitionPar runs the quick-sort construction with its three disjoint
-// recursive sub-problems fanned out through a bounded pool.Group.
-//
-// Why this is race-free with no locks on the adjacency rows: every edge
-// buildPartition(idx) adds has its source in idx (partition edges source
-// at idx members or the pivot, transitivity edges at better ⊂ idx, tie
-// edges at better/equal ⊂ idx, cross edges at members of better, worse,
-// or incomp ⊂ idx); sibling recursions receive disjoint index sets; and
-// a parent finishes all of its own edge writes before spawning children,
-// so goroutine creation orders parent writes before child writes to the
-// same rows.
-//
-// Why it is deterministic: the recursion structure is identical to the
-// serial build (same pivots over the same sub-slices), so the comparison
-// multiset — and therefore the edge set and the total count — does not
-// depend on scheduling. Per-task counts are flushed into one atomic;
-// sortEdges normalizes row order afterwards.
-type partitionPar struct {
-	g           *Graph
-	ctx         context.Context
-	grp         *pool.Group
-	comparisons atomic.Int64
-	cancelled   atomic.Bool
-}
-
-// parSpawnMin is the sub-problem size below which recursion stays on the
-// current task instead of spawning.
-const parSpawnMin = 32
-
-func (g *Graph) buildPartitionPar(ctx context.Context, workers int) error {
-	idx := make([]int, len(g.Nodes))
-	for i := range idx {
-		idx[i] = i
-	}
-	p := &partitionPar{g: g, ctx: ctx, grp: pool.NewGroup("graph_quicksort", workers)}
-	p.run(idx)
-	p.grp.Wait()
-	g.comparisons = int(p.comparisons.Load())
-	return ctx.Err()
-}
-
-// parTick is a task-local comparison counter: it polls cancellation at
-// the same checkStride cadence as the serial build without contending on
-// a shared counter, and flushes its tally once the task ends.
-type parTick struct {
-	p     *partitionPar
-	count int
-}
-
-func (t *parTick) tick() bool {
-	if t.p.cancelled.Load() {
-		return true
-	}
-	t.count++
-	if t.count%checkStride == 0 && t.p.ctx.Err() != nil {
-		t.p.cancelled.Store(true)
-		return true
-	}
-	return false
-}
-
-func (t *parTick) flush() { t.p.comparisons.Add(int64(t.count)) }
-
-// run executes one task: recurse over idx with a fresh local tick.
-func (p *partitionPar) run(idx []int) {
-	t := &parTick{p: p}
-	p.build(idx, t)
-	t.flush()
-}
-
-// recurse continues into a sub-problem — inline on the current task when
-// it is too small to be worth a goroutine, otherwise via the group
-// (which itself falls back to inline when all worker slots are busy).
-func (p *partitionPar) recurse(idx []int, t *parTick) {
-	if len(idx) == 0 {
-		return
-	}
-	if len(idx) < parSpawnMin {
-		p.build(idx, t)
-		return
-	}
-	sub := idx
-	p.grp.Go(func() { p.run(sub) })
-}
-
-// build mirrors Graph.buildPartition exactly, with task-local ticking.
-func (p *partitionPar) build(idx []int, t *parTick) {
-	if p.cancelled.Load() {
-		return
-	}
-	g := p.g
-	const cutoff = 8
-	if len(idx) <= cutoff {
-		for a := 0; a < len(idx); a++ {
-			for b := a + 1; b < len(idx); b++ {
-				if t.tick() {
-					return
-				}
-				i, j := idx[a], idx[b]
-				fi, fj := g.Factors[i], g.Factors[j]
-				switch {
-				case StrictlyDominates(fi, fj):
-					g.addEdge(i, j)
-				case StrictlyDominates(fj, fi):
-					g.addEdge(j, i)
-				}
-			}
-		}
-		return
-	}
-	pivot := idx[len(idx)/2]
-	var better, worse, equal, incomp []int
-	fp := g.Factors[pivot]
-	for _, i := range idx {
-		if i == pivot {
-			continue
-		}
-		if t.tick() {
-			return
-		}
-		fi := g.Factors[i]
-		switch {
-		case equalFactors(fi, fp):
-			equal = append(equal, i)
-		case StrictlyDominates(fi, fp):
-			g.addEdge(i, pivot)
-			better = append(better, i)
-		case StrictlyDominates(fp, fi):
-			g.addEdge(pivot, i)
-			worse = append(worse, i)
-		default:
-			incomp = append(incomp, i)
-		}
-	}
-	for _, u := range better {
-		for _, w := range worse {
-			g.addEdge(u, w)
-		}
-	}
-	for _, e := range equal {
-		for _, u := range better {
-			g.addEdge(u, e)
-		}
-		for _, w := range worse {
-			g.addEdge(e, w)
-		}
-	}
-	for _, u := range better {
-		for _, v := range incomp {
-			if t.tick() {
-				return
-			}
-			fu, fv := g.Factors[u], g.Factors[v]
-			switch {
-			case StrictlyDominates(fu, fv):
-				g.addEdge(u, v)
-			case StrictlyDominates(fv, fu):
-				g.addEdge(v, u)
-			}
-		}
-	}
-	for _, u := range worse {
-		for _, v := range incomp {
-			if t.tick() {
-				return
-			}
-			fu, fv := g.Factors[u], g.Factors[v]
-			switch {
-			case StrictlyDominates(fu, fv):
-				g.addEdge(u, v)
-			case StrictlyDominates(fv, fu):
-				g.addEdge(v, u)
-			}
-		}
-	}
-	// All of this task's edge writes are done; sub-problems may now run
-	// concurrently (they touch disjoint rows).
-	p.recurse(better, t)
-	p.recurse(worse, t)
-	p.recurse(incomp, t)
 }

@@ -8,8 +8,10 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	deepeye "github.com/deepeye/deepeye"
+	"github.com/deepeye/deepeye/internal/obs"
 )
 
 // TestIngestRowLimit413: a row flood past -max-rows answers 413 with
@@ -89,13 +91,17 @@ func TestIngestLimitsGuardStatelessRoutes(t *testing.T) {
 // and the machine-readable reason "capacity".
 func TestShedResponseContract(t *testing.T) {
 	sys := deepeye.New(deepeye.Options{IncludeOneColumn: true})
-	srv := httptest.NewServer(New(sys, Options{MaxInFlight: 1}))
+	reg := obs.NewRegistry()
+	srv := httptest.NewServer(New(sys, Options{MaxInFlight: 1, Registry: reg}))
 	t.Cleanup(srv.Close)
 
 	// Park one request inside the handler: its body is a pipe, so the
-	// CSV read blocks after the limiter slot is taken. Write returns
-	// only once the handler is reading — the slot is provably held.
+	// CSV read blocks after the limiter slot is taken. The pipe's reader
+	// is the client transport, so Write returning proves nothing about
+	// the server; the in-flight gauge does, because the handler raises
+	// it only after it holds the slot.
 	pr, pw := io.Pipe()
+	defer pw.Close() // a failed wait must not leave srv.Close blocked on the parked request
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -107,6 +113,14 @@ func TestShedResponseContract(t *testing.T) {
 	}()
 	if _, err := pw.Write([]byte("a,b\n")); err != nil {
 		t.Fatal(err)
+	}
+	inFlight := reg.Gauge(metricInFlight, "")
+	deadline := time.Now().Add(5 * time.Second)
+	for inFlight.Value() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s = %d after 5s, want 1", metricInFlight, inFlight.Value())
+		}
+		time.Sleep(time.Millisecond)
 	}
 
 	resp, body := doReq(t, http.MethodPost, srv.URL+"/topk?k=2", testCSV)

@@ -9,9 +9,8 @@
 // Unix seconds, numeric bins are index arithmetic — with labels
 // formatted once per bucket instead of once per row. ApplyBucketed then
 // aggregates any Y column over a shared bucketing, which is how the
-// batch executor and the progressive selector amortize one bucketing
-// pass across every Y column, aggregate, and sort order (§V-B shared
-// transformation).
+// batch executor amortizes one bucketing pass across every Y column,
+// aggregate, and sort order (§V-B shared transformation).
 package transform
 
 import (
@@ -169,8 +168,8 @@ func (s Spec) String() string {
 // Result is the transformed series (X′, Y′): one entry per group/bin in
 // XLabels (display form) with XOrder carrying a numeric sort key when one
 // exists, and Y the aggregated values. SourceRows[i] lists the input row
-// indices that fell into bucket i (used by postponed operations in the
-// progressive optimizer).
+// indices that fell into bucket i (the multi-series transforms in
+// multi.go aggregate further columns over them).
 type Result struct {
 	XLabels    []string
 	XOrder     []float64 // numeric/temporal sort keys; NaN when unordered

@@ -199,11 +199,6 @@ func outType(in dataset.ColType, kind transform.Kind) dataset.ColType {
 	}
 }
 
-// FillDerived computes correlation, trend, and the feature vector from
-// the transformed series of a node assembled outside the executor (the
-// progressive selector builds nodes from shared bucketing passes).
-func FillDerived(n *Node) { fillDerived(n) }
-
 // fillDerived computes correlation, trend, and the feature vector from the
 // transformed series.
 func fillDerived(n *Node) {
